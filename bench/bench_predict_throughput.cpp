@@ -192,8 +192,7 @@ int main() {
   util::FaultInjector quiet;  // never inherit TEVOT_FAULTS in a bench
   serve::ServerOptions options;
   options.model_dir = dir;
-  options.workers = 2;
-  options.queue_capacity = 256;
+  options.max_in_flight = 258;
   options.faults = &quiet;
   serve::Server server(options);
   const util::Status started = server.start();

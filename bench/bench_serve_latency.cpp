@@ -4,7 +4,8 @@
 // server's own streaming histogram plus client-side wall clock. Knobs:
 //   TEVOT_SERVE_CLIENTS   concurrent client connections (default 4)
 //   TEVOT_SERVE_REQUESTS  requests per client (default 2000)
-//   TEVOT_SERVE_WORKERS   server worker threads (default 2)
+// Each request is computed on its connection's server thread, so the
+// client count is also the server's compute concurrency.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -47,8 +48,6 @@ int main() {
       static_cast<int>(util::envInt("TEVOT_SERVE_CLIENTS", 4));
   const auto requests =
       static_cast<int>(util::envInt("TEVOT_SERVE_REQUESTS", 2000));
-  const auto workers =
-      static_cast<std::size_t>(util::envInt("TEVOT_SERVE_WORKERS", 2));
 
   const std::string dir = "bench_serve_models";
   std::filesystem::create_directories(dir);
@@ -57,8 +56,7 @@ int main() {
   util::FaultInjector quiet;  // never inherit TEVOT_FAULTS in a bench
   serve::ServerOptions options;
   options.model_dir = dir;
-  options.workers = workers;
-  options.queue_capacity = 256;
+  options.max_in_flight = 258;
   options.faults = &quiet;
   serve::Server server(options);
   const util::Status started = server.start();
@@ -96,13 +94,14 @@ int main() {
   const serve::MetricsSnapshot stats = server.drainAndStop();
   const double total = static_cast<double>(clients) * requests;
   std::printf(
-      "serve latency: %d clients x %d requests, %zu workers\n"
+      "serve latency: %d clients x %d requests\n"
       "  throughput %.0f req/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, "
       "max %.3f ms\n",
-      clients, requests, workers, total / wall, stats.p50_ms, stats.p95_ms,
+      clients, requests, total / wall, stats.p50_ms, stats.p95_ms,
       stats.p99_ms, stats.max_ms);
 
-  bench::writeBenchJson("serve_latency", workers, wall,
+  bench::writeBenchJson("serve_latency", static_cast<std::size_t>(clients),
+                        wall,
                         {{"clients", static_cast<double>(clients)},
                          {"requests_per_client",
                           static_cast<double>(requests)},

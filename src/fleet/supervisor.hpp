@@ -30,8 +30,7 @@ struct SupervisorOptions {
   std::string serve_binary;  ///< path to the tevot_serve executable
   std::string model_dir;
   std::size_t shards = 3;
-  std::size_t worker_threads = 2;   ///< per-shard --workers
-  std::size_t queue_capacity = 64;  ///< per-shard --queue
+  std::size_t max_in_flight = 64;  ///< per-shard --max-in-flight
   double default_deadline_ms = 0.0;
   /// Give up on a shard after this many respawns.
   int max_restarts = 20;

@@ -35,6 +35,11 @@ struct MetricsSnapshot {
   std::uint64_t reloads = 0;
   std::uint64_t reload_failures = 0;
   std::uint64_t breaker_opens = 0;
+  /// Admission gauge, "queue=D/C" on the wire: requests admitted and
+  /// computing right now over the server's max_in_flight limit (a
+  /// predictN batch counts once). The fleet router sheds a shard at
+  /// queue_depth/queue_capacity >= shed_queue_fraction; merged
+  /// snapshots sum both.
   std::size_t queue_depth = 0;
   std::size_t queue_capacity = 0;
   std::size_t breakers_open = 0;

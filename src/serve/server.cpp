@@ -37,8 +37,7 @@ bool sendAll(int fd, const char* data, std::size_t len) {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       registry_(options_.model_dir, options_.strict_verify) {
-  if (options_.workers == 0) options_.workers = 1;
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
+  if (options_.max_in_flight == 0) options_.max_in_flight = 1;
   if (options_.max_connections == 0) options_.max_connections = 1;
   faults_ = options_.faults != nullptr ? options_.faults
                                        : &util::FaultInjector::global();
@@ -96,18 +95,11 @@ util::Status Server::start() {
   bound_port_ = static_cast<int>(ntohs(bound.sin_port));
   listen_fd_ = std::move(fd);
 
-  queue_ = std::make_unique<BoundedQueue<Task>>(options_.queue_capacity);
   draining_.store(false);
-  shed_all_.store(false);
   running_.store(true);
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
-  }
   acceptor_ = std::thread([this] { acceptLoop(); });
   util::logInfo() << "serve: listening on 127.0.0.1:" << bound_port_
-                  << " workers=" << options_.workers
-                  << " queue=" << options_.queue_capacity;
+                  << " max_in_flight=" << options_.max_in_flight;
   return util::Status::okStatus();
 }
 
@@ -125,8 +117,8 @@ util::Status Server::reload() {
 
 MetricsSnapshot Server::stats() const {
   MetricsSnapshot snap = metrics_.snapshot();
-  snap.queue_depth = queue_ != nullptr ? queue_->size() : 0;
-  snap.queue_capacity = options_.queue_capacity;
+  snap.queue_depth = in_flight_.load();
+  snap.queue_capacity = options_.max_in_flight;
   snap.generation = registry_.generation();
   for (const auto& [name, breaker] : breakers_) {
     if (breaker.state() != CircuitBreaker::State::kClosed) {
@@ -281,23 +273,20 @@ void Server::handleLine(Connection* connection, std::string_view line) {
     writeResponses(connection, shed);
     return;
   }
-  Task task;
-  task.request = std::move(request);
-  task.arrival = Clock::now();
-  task.deadline_ms = task.request.deadline_ms > 0.0
-                         ? task.request.deadline_ms
-                         : options_.default_deadline_ms;
-  task.id = id;
-  // Admission-time model snapshot: this request is served entirely
-  // from one generation even if a reload lands while it is queued.
-  task.models = registry_.snapshot();
-  std::future<std::vector<Response>> future = task.promise.get_future();
-  if (!queue_->tryPush(std::move(task))) {
-    const std::vector<Response> shed(lines, Response::shed("queue full"));
-    writeResponses(connection, shed);
-    return;
-  }
-  writeResponses(connection, future.get());
+  // Counting admission: take one of max_in_flight slots or shed.
+  std::size_t admitted = in_flight_.load();
+  do {
+    if (admitted >= options_.max_in_flight) {
+      const std::vector<Response> shed(lines, Response::shed("queue full"));
+      writeResponses(connection, shed);
+      return;
+    }
+  } while (!in_flight_.compare_exchange_weak(admitted, admitted + 1));
+  const std::vector<Response> responses = predict(request, id);
+  // Released before the send, so a client that has its answer sees
+  // the slot free in stats.
+  in_flight_.fetch_sub(1);
+  writeResponses(connection, responses);
 }
 
 Response Server::handleControl(const Request& request) {
@@ -333,72 +322,66 @@ Response Server::handleControl(const Request& request) {
   return Response::error(ErrorCode::kInternal, "bad control dispatch");
 }
 
-void Server::workerLoop() {
-  while (std::optional<Task> task = queue_->pop()) {
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<Response> responses = processTask(*task);
-    task->promise.set_value(std::move(responses));
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-std::vector<Response> Server::processTask(Task& task) {
-  // A batch fails or succeeds as a unit up to the predict call: shed,
+std::vector<Response> Server::predict(const Request& request,
+                                      std::uint64_t id) {
+  // A batch fails or succeeds as a unit up to the predict call:
   // deadline, breaker, and fault outcomes are replicated per tuple so
   // the client still receives exactly n lines. Fault points and the
-  // breaker fire once per batch (keyed by task id), not per tuple.
-  const std::size_t lines = task.request.responseCount();
+  // breaker fire once per batch (keyed by request id), not per tuple.
+  const Clock::time_point arrival = Clock::now();
+  const double deadline_ms = request.deadline_ms > 0.0
+                                 ? request.deadline_ms
+                                 : options_.default_deadline_ms;
+  // Admission-time model snapshot: this request is served entirely
+  // from one generation even if a reload lands while it computes.
+  const std::shared_ptr<const ModelSet> models = registry_.snapshot();
+  const std::size_t lines = request.responseCount();
   const auto replicate = [lines](Response response) {
     return std::vector<Response>(lines, std::move(response));
   };
-  if (shed_all_.load()) return replicate(Response::shed("draining"));
-  const double waited_ms = msSince(task.arrival);
-  if (task.deadline_ms > 0.0 && waited_ms > task.deadline_ms) {
+  const double waited_ms = msSince(arrival);
+  if (deadline_ms > 0.0 && waited_ms > deadline_ms) {
     char buf[96];
-    std::snprintf(buf, sizeof(buf), "queued %.3f ms > deadline %.3f ms",
-                  waited_ms, task.deadline_ms);
+    std::snprintf(buf, sizeof(buf), "admitted %.3f ms > deadline %.3f ms",
+                  waited_ms, deadline_ms);
     return replicate(Response::deadline(buf));
   }
-  const auto breaker_it = breakers_.find(task.request.fu);
+  const auto breaker_it = breakers_.find(request.fu);
   if (breaker_it == breakers_.end()) {
-    return replicate(Response::error(
-        ErrorCode::kUnknownFu, "unknown fu '" + task.request.fu + "'"));
+    return replicate(Response::error(ErrorCode::kUnknownFu,
+                                     "unknown fu '" + request.fu + "'"));
   }
   const core::TevotModel* model =
-      task.models != nullptr ? task.models->find(task.request.fu) : nullptr;
+      models != nullptr ? models->find(request.fu) : nullptr;
   if (model == nullptr) {
-    return replicate(Response::error(
-        ErrorCode::kModelUnavailable,
-        "no model loaded for '" + task.request.fu + "'"));
+    return replicate(
+        Response::error(ErrorCode::kModelUnavailable,
+                        "no model loaded for '" + request.fu + "'"));
   }
   CircuitBreaker& breaker = breaker_it->second;
   if (!breaker.allow()) {
     return replicate(Response::error(
-        ErrorCode::kBreakerOpen,
-        "breaker open for '" + task.request.fu + "'"));
+        ErrorCode::kBreakerOpen, "breaker open for '" + request.fu + "'"));
   }
-  const bool is_batch = task.request.kind == RequestKind::kPredictBatch;
   std::vector<double> delays(lines, 0.0);
   try {
     // serve.slow (delay) is a separate point from serve.predict
     // (failure) so tests can arm slow backends without also arming
-    // failures — the deterministic way to fill the admission queue.
-    faults_->maybeDelay("serve.slow", std::to_string(task.id));
-    faults_->maybeThrow("serve.predict", std::to_string(task.id));
-    const liberty::Corner corner{task.request.voltage,
-                                 task.request.temperature};
-    if (is_batch) {
-      std::vector<core::DelayQuery> queries(task.request.batch.size());
+    // failures — the deterministic way to hold admission slots.
+    faults_->maybeDelay("serve.slow", std::to_string(id));
+    faults_->maybeThrow("serve.predict", std::to_string(id));
+    const liberty::Corner corner{request.voltage, request.temperature};
+    if (request.kind == RequestKind::kPredictBatch) {
+      std::vector<core::DelayQuery> queries(request.batch.size());
       for (std::size_t i = 0; i < queries.size(); ++i) {
-        const BatchOperand& operand = task.request.batch[i];
+        const BatchOperand& operand = request.batch[i];
         queries[i] = {operand.a, operand.b, operand.prev_a, operand.prev_b,
                       corner};
       }
       model->predictDelayBatch(queries, delays);
     } else {
-      delays[0] = model->predictDelay(task.request.a, task.request.b,
-                                      task.request.prev_a,
-                                      task.request.prev_b, corner);
+      delays[0] = model->predictDelay(request.a, request.b, request.prev_a,
+                                      request.prev_b, corner);
     }
   } catch (const util::StatusError& error) {
     breaker.recordFailure();
@@ -412,19 +395,18 @@ std::vector<Response> Server::processTask(Task& task) {
     return replicate(Response::error(ErrorCode::kInternal, error.what()));
   }
   breaker.recordSuccess();
-  const double total_ms = msSince(task.arrival);
-  if (task.deadline_ms > 0.0 && total_ms > task.deadline_ms) {
+  const double total_ms = msSince(arrival);
+  if (deadline_ms > 0.0 && total_ms > deadline_ms) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "served in %.3f ms > deadline %.3f ms",
-                  total_ms, task.deadline_ms);
+                  total_ms, deadline_ms);
     return replicate(Response::deadline(buf));
   }
   metrics_.recordLatencyMs(total_ms);
   std::vector<Response> responses;
   responses.reserve(lines);
   for (const double delay_ps : delays) {
-    responses.push_back(
-        Response::ok(delay_ps, delay_ps > task.request.tclk_ps));
+    responses.push_back(Response::ok(delay_ps, delay_ps > request.tclk_ps));
   }
   return responses;
 }
@@ -467,8 +449,9 @@ MetricsSnapshot Server::drainAndStop() {
   // Wake the acceptor out of poll and stop new connections.
   if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
-  // Half-close every live connection: readers see EOF once the
-  // in-flight request (if any) has been answered; writes still flow.
+  // Half-close every live connection: its thread finishes the request
+  // in hand, answers lines it has already read with SHED draining
+  // (handleLine checks draining_), then sees EOF; writes still flow.
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     for (Connection& connection : connections_) {
@@ -476,24 +459,6 @@ MetricsSnapshot Server::drainAndStop() {
         ::shutdown(connection.fd.get(), SHUT_RD);
       }
     }
-  }
-  // Give admitted work the drain budget, then shed the remainder.
-  const Clock::time_point drain_start = Clock::now();
-  while (queue_->size() > 0 || in_flight_.load() > 0) {
-    if (options_.drain_deadline_ms > 0.0 &&
-        msSince(drain_start) > options_.drain_deadline_ms) {
-      shed_all_.store(true);
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  queue_->close();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
     for (Connection& connection : connections_) {
       if (connection.thread.joinable()) connection.thread.join();
     }

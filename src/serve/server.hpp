@@ -1,28 +1,32 @@
 // Long-running, multi-threaded TEVoT prediction server.
 //
-// Thread model: one acceptor, one thread per live connection (bounded
-// by max_connections), and a fixed worker pool. A connection thread
-// reads request lines, admits predict work into the bounded queue
-// (full queue => typed SHED, never a silent drop), and blocks for that
-// request's response before reading the next line, so responses are
-// trivially ordered and every request gets exactly one — a predictN
-// batch occupies one queue slot and is answered with exactly n typed
+// Thread model: one acceptor and one thread per live connection
+// (bounded by max_connections); nothing else. A connection thread
+// reads request lines and computes each one itself before reading the
+// next, so responses are trivially ordered and every request gets
+// exactly one — a predictN batch is answered with exactly n typed
 // lines in tuple order (a shed/expired batch yields n SHED/DEADLINE
 // lines; the metrics invariant requests == ok+shed+deadline+errors
-// counts each tuple as a request). Workers pop
-// tasks, enforce the end-to-end deadline (admission wait + compute),
-// route through the per-FU circuit breaker, and predict against the
-// immutable model snapshot captured at admission (reload atomicity).
+// counts each tuple as a request). Admission is one atomic counter of
+// predict requests computing right now, across all connections,
+// against max_in_flight (a batch counts once); at the limit the
+// request is answered SHED, never silently dropped. An admitted
+// request predicts against the immutable model snapshot captured at
+// admission (reload atomicity), is checked against its end-to-end
+// deadline before and after compute, and routes through the per-FU
+// circuit breaker.
 //
 // Robustness surface:
-//  * load shedding   bounded queue + connection cap, SHED responses
+//  * load shedding   in-flight admission limit + connection cap, SHED
+//                    responses
 //  * deadlines       per-request (or server default), checked at
-//                    dequeue and after compute
+//                    admission and after compute
 //  * circuit breaker per model backend; OPEN => typed BREAKER_OPEN
 //  * hot reload      ModelRegistry validate-then-swap (control
 //                    `reload` request; tevot_serve also maps SIGHUP)
-//  * graceful drain  drainAndStop(): stop accepting, complete or shed
-//                    queued work within the drain deadline, join all
+//  * graceful drain  drainAndStop(): stop accepting, let in-flight
+//                    requests finish, shed lines already read with
+//                    SHED draining, join all
 //  * fault injection serve.accept / serve.parse / serve.predict /
 //                    serve.reload (failures) and serve.slow (delay)
 //                    sites, armed via TEVOT_FAULTS or a
@@ -33,10 +37,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -45,7 +48,6 @@
 #include "serve/breaker.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "util/fault_injection.hpp"
 #include "util/fd.hpp"
@@ -56,8 +58,10 @@ struct ServerOptions {
   std::string model_dir;
   /// Listen port on 127.0.0.1; 0 binds an ephemeral port (see port()).
   int port = 0;
-  std::size_t workers = 2;
-  std::size_t queue_capacity = 64;
+  /// Admission limit: predict requests computing at once across all
+  /// connections (a predictN batch counts once). One more is answered
+  /// SHED queue full. Reported as queue_depth/queue_capacity.
+  std::size_t max_in_flight = 64;
   std::size_t max_connections = 64;
   /// Applied when a request carries no deadline; 0 = none.
   double default_deadline_ms = 0.0;
@@ -66,9 +70,6 @@ struct ServerOptions {
   /// validation; an uncertifiable model is refused and the previous
   /// set keeps serving.
   bool strict_verify = false;
-  /// Budget for drainAndStop() to complete queued work before
-  /// shedding the remainder.
-  double drain_deadline_ms = 2000.0;
   BreakerConfig breaker;
   /// Fault injector for the serve.* points; nullptr uses
   /// util::FaultInjector::global() (armed via TEVOT_FAULTS).
@@ -95,28 +96,17 @@ class Server {
   /// models keep serving.
   util::Status reload();
 
-  /// Counters plus live gauges (queue depth, breaker states,
-  /// generation).
+  /// Counters plus live gauges (admitted in-flight requests, breaker
+  /// states, generation).
   MetricsSnapshot stats() const;
 
-  /// Graceful drain: stop accepting, complete or shed queued work
-  /// within drain_deadline_ms, join every thread. Idempotent.
-  /// Returns the final stats snapshot.
+  /// Graceful drain: stop accepting, let in-flight requests finish,
+  /// answer lines already read with SHED draining, join every thread.
+  /// Idempotent. Returns the final stats snapshot.
   MetricsSnapshot drainAndStop();
 
  private:
   using Clock = std::chrono::steady_clock;
-
-  struct Task {
-    Request request;
-    Clock::time_point arrival{};
-    double deadline_ms = 0.0;
-    std::uint64_t id = 0;
-    std::shared_ptr<const ModelSet> models;
-    /// One entry per response line: batch tuples for kPredictBatch,
-    /// a single entry otherwise.
-    std::promise<std::vector<Response>> promise;
-  };
 
   struct Connection {
     util::UniqueFd fd;
@@ -126,13 +116,13 @@ class Server {
 
   void acceptLoop();
   void connectionLoop(Connection* connection);
-  void workerLoop();
   void handleLine(Connection* connection, std::string_view line);
   Response handleControl(const Request& request);
-  /// One Response per expected line (request.responseCount() of them);
-  /// batch predicts run through TevotModel::predictDelayBatch, batch
-  /// shed/deadline/error outcomes are replicated per tuple.
-  std::vector<Response> processTask(Task& task);
+  /// Computes an admitted predict request: one Response per expected
+  /// line (request.responseCount() of them); batch predicts run
+  /// through TevotModel::predictDelayBatch, batch deadline/error
+  /// outcomes are replicated per tuple.
+  std::vector<Response> predict(const Request& request, std::uint64_t id);
   /// Serializes, appends '\n', writes, and bumps the per-status
   /// counter. A failed write (client gone) is not an error.
   void writeResponse(Connection* connection, const Response& response);
@@ -152,8 +142,6 @@ class Server {
   util::UniqueFd listen_fd_;
   int bound_port_ = 0;
 
-  std::unique_ptr<BoundedQueue<Task>> queue_;
-  std::vector<std::thread> workers_;
   std::thread acceptor_;
 
   std::mutex connections_mutex_;
@@ -161,7 +149,6 @@ class Server {
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> shed_all_{false};
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> next_request_id_{1};
   std::atomic<std::uint64_t> next_connection_id_{1};

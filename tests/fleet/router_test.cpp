@@ -24,11 +24,10 @@ using serve::Response;
 using serve::ResponseStatus;
 using serve_test::serveTestModels;
 
-std::unique_ptr<serve::Server> bootShard(std::size_t queue_capacity = 16) {
+std::unique_ptr<serve::Server> bootShard() {
   serve::ServerOptions options;
   options.model_dir = serveTestModels().dir;
-  options.workers = 2;
-  options.queue_capacity = queue_capacity;
+  options.max_in_flight = 18;
   auto server = std::make_unique<serve::Server>(options);
   EXPECT_TRUE(server->start().ok());
   return server;

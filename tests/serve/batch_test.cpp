@@ -25,8 +25,7 @@ using serve_test::serveTestModels;
 ServerOptions baseOptions() {
   ServerOptions options;
   options.model_dir = serveTestModels().dir;
-  options.workers = 2;
-  options.queue_capacity = 16;
+  options.max_in_flight = 18;
   static util::FaultInjector quiet;
   options.faults = &quiet;
   return options;

@@ -1,7 +1,8 @@
 // Subprocess tests for the tevot_serve binary: the bound-port
 // announcement, SIGHUP hot reload, SIGTERM graceful drain (exit 0
-// with final stats on stderr), and the exit-code taxonomy. The binary
-// path is compiled in via TEVOT_SERVE_BINARY.
+// with final stats on stderr), and the exit-code taxonomy, including
+// malformed flag values. The binary path is compiled in via
+// TEVOT_SERVE_BINARY.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -127,7 +128,7 @@ Response request(LineClient& client, const std::string& line) {
 
 TEST(ServeBinaryTest, ServesPredictionsAndDrainsOnSigterm) {
   ServeProcess process =
-      spawnServe({"--model-dir", serveTestModels().dir, "--workers", "2"});
+      spawnServe({"--model-dir", serveTestModels().dir});
   ASSERT_GT(process.port, 0);
 
   LineClient client;
@@ -180,7 +181,7 @@ TEST(ServeBinaryTest, FinalStatsLineIsMachineParseable) {
   // of a dead worker's counters, so it must round-trip through
   // parseMetricsLine and satisfy the accounting invariant.
   ServeProcess process =
-      spawnServe({"--model-dir", serveTestModels().dir, "--workers", "2"});
+      spawnServe({"--model-dir", serveTestModels().dir});
   ASSERT_GT(process.port, 0);
 
   LineClient client;
@@ -245,6 +246,25 @@ TEST(ServeBinaryTest, MissingArgumentsIsUsageError) {
   EXPECT_NE(no_args.readStderr().find("usage:"), std::string::npos);
   ServeProcess bad_flag = spawnServe({"--frobnicate"});
   EXPECT_EQ(bad_flag.wait(), 2);
+}
+
+TEST(ServeBinaryTest, MalformedFlagValuesAreUsageErrors) {
+  // Each value must be refused before binding, not coerced into a
+  // server the caller did not ask for. --workers is not an option.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--max-in-flight", "0"}, {"--max-in-flight", "-1"},
+      {"--port", "abc"},        {"--deadline-ms", "nan"},
+      {"--workers", "2"},
+  };
+  for (const std::vector<std::string>& flag : cases) {
+    std::vector<std::string> args = {"--model-dir", serveTestModels().dir};
+    args.insert(args.end(), flag.begin(), flag.end());
+    ServeProcess process = spawnServe(args);
+    EXPECT_EQ(process.port, -1) << flag[0] << " " << flag[1];
+    EXPECT_EQ(process.wait(), 2) << flag[0] << " " << flag[1];
+    EXPECT_NE(process.readStderr().find("usage:"), std::string::npos)
+        << flag[0] << " " << flag[1];
+  }
 }
 
 }  // namespace

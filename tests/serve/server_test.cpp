@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve_test_util.hpp"
 #include "util/fault_injection.hpp"
@@ -46,8 +47,7 @@ Response roundTrip(LineClient& client, const std::string& line) {
 ServerOptions baseOptions() {
   ServerOptions options;
   options.model_dir = serveTestModels().dir;
-  options.workers = 2;
-  options.queue_capacity = 16;
+  options.max_in_flight = 18;
   // Local injector (disarmed by default) so an outer TEVOT_FAULTS
   // never leaks into these deterministic tests.
   static util::FaultInjector quiet;
@@ -211,14 +211,13 @@ TEST(ServerTest, FullQueueSheds) {
   faults.arm(plan);
 
   ServerOptions options = baseOptions();
-  options.workers = 1;
-  options.queue_capacity = 1;
+  options.max_in_flight = 2;
   options.faults = &faults;
   Server server(options);
   ASSERT_TRUE(server.start().ok());
 
-  // c1's request occupies the single worker; c2's fills the single
-  // queue slot; c3's has nowhere to go => SHED.
+  // c1's and c2's requests hold both admission slots; c3's has
+  // nowhere to go => SHED.
   LineClient c1, c2, c3;
   ASSERT_TRUE(c1.connectTo(server.port()).ok());
   ASSERT_TRUE(c2.connectTo(server.port()).ok());
@@ -239,6 +238,110 @@ TEST(ServerTest, FullQueueSheds) {
   EXPECT_EQ(c1.readLine().has_value(), true);
   EXPECT_EQ(c2.readLine().has_value(), true);
   EXPECT_GE(server.stats().shed, 1u);
+}
+
+/// A fault injector whose serve.slow point delays every predict by
+/// `slow_ms` and fails nothing.
+void armSlow(util::FaultInjector& faults, double slow_ms) {
+  util::FaultPlan plan;
+  plan.seed = 5;
+  plan.rate = 1.0;
+  plan.points = {"serve.slow"};
+  plan.slow_ms = slow_ms;
+  plan.fail_attempts = 1000;
+  faults.arm(plan);
+}
+
+/// Polls stats() until `depth` requests hold admission slots.
+bool awaitInFlight(const Server& server, std::size_t depth) {
+  for (int i = 0; i < 400; ++i) {
+    if (server.stats().queue_depth == depth) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
+TEST(ServerTest, AdmissionGaugeReportsInFlightOverLimit) {
+  util::FaultInjector faults;
+  armSlow(faults, 600.0);
+  ServerOptions options = baseOptions();
+  options.max_in_flight = 4;
+  options.faults = &faults;
+  Server server(options);
+  ASSERT_TRUE(server.start().ok());
+
+  LineClient c1, c2, control;
+  ASSERT_TRUE(c1.connectTo(server.port()).ok());
+  ASSERT_TRUE(c2.connectTo(server.port()).ok());
+  ASSERT_TRUE(control.connectTo(server.port()).ok());
+  ASSERT_TRUE(c1.sendLine(predictLine(0.9, 25, 300, 1, 2, 0, 0)));
+  ASSERT_TRUE(c2.sendLine(predictLine(0.9, 25, 300, 3, 4, 0, 0)));
+
+  // Both slow requests are held: the gauge the router reads for
+  // eligibility reports them, in-process and on the wire.
+  ASSERT_TRUE(awaitInFlight(server, 2));
+  const MetricsSnapshot held = server.stats();
+  EXPECT_EQ(held.queue_depth, 2u);
+  EXPECT_EQ(held.queue_capacity, 4u);
+  const Response stats = roundTrip(control, "stats");
+  ASSERT_EQ(stats.status, ResponseStatus::kOk);
+  MetricsSnapshot wire;
+  ASSERT_TRUE(parseMetricsLine(stats.detail, &wire)) << stats.detail;
+  EXPECT_EQ(wire.queue_depth, 2u) << stats.detail;
+  EXPECT_EQ(wire.queue_capacity, 4u) << stats.detail;
+
+  ASSERT_TRUE(c1.readLine().has_value());
+  ASSERT_TRUE(c2.readLine().has_value());
+  const MetricsSnapshot after = server.stats();
+  EXPECT_EQ(after.queue_depth, 0u);
+  EXPECT_EQ(after.queue_capacity, 4u);
+  const Response wire_after = roundTrip(control, "stats");
+  ASSERT_TRUE(parseMetricsLine(wire_after.detail, &wire));
+  EXPECT_EQ(wire.queue_depth, 0u) << wire_after.detail;
+  EXPECT_EQ(wire.queue_capacity, 4u) << wire_after.detail;
+}
+
+TEST(ServerTest, DrainFinishesInFlightWorkAndShedsLinesAlreadySent) {
+  util::FaultInjector faults;
+  armSlow(faults, 500.0);
+  ServerOptions options = baseOptions();
+  options.faults = &faults;
+  Server server(options);
+  ASSERT_TRUE(server.start().ok());
+
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(server.port()).ok());
+  // Two lines in one write: the first computes (slowly), the second
+  // is already on the connection when the drain starts.
+  ASSERT_TRUE(client.sendLine(predictLine(0.9, 25, 300, 11, 22, 1, 2) +
+                              "\n" + predictLine(0.9, 25, 300, 33, 44, 3, 4)));
+  ASSERT_TRUE(awaitInFlight(server, 1));
+  MetricsSnapshot final_stats;
+  std::thread drainer([&] { final_stats = server.drainAndStop(); });
+
+  Response ok;
+  const std::optional<std::string> first = client.readLine();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(parseResponse(*first, &ok)) << *first;
+  ASSERT_EQ(ok.status, ResponseStatus::kOk) << *first;
+  const double expected =
+      serveTestModels().model_a.predictDelay(11, 22, 1, 2, {0.9, 25});
+  EXPECT_EQ(std::memcmp(&ok.delay_ps, &expected, sizeof(double)), 0);
+
+  Response shed;
+  const std::optional<std::string> second = client.readLine();
+  ASSERT_TRUE(second.has_value());
+  ASSERT_TRUE(parseResponse(*second, &shed)) << *second;
+  EXPECT_EQ(shed.status, ResponseStatus::kShed) << *second;
+  EXPECT_EQ(shed.detail, "draining");
+
+  drainer.join();
+  EXPECT_FALSE(server.running());
+  EXPECT_EQ(final_stats.ok, 1u);
+  EXPECT_EQ(final_stats.shed, 1u);
+  EXPECT_EQ(final_stats.requests,
+            final_stats.ok + final_stats.shed + final_stats.deadline +
+                final_stats.errors);
 }
 
 TEST(ServerTest, HotReloadUnderLoadIsAtomic) {
@@ -321,9 +424,7 @@ TEST(ServerTest, DrainAndStopIsGracefulAndIdempotent) {
 }
 
 TEST(ServerTest, ExactlyOneResponsePerRequestUnderConcurrentLoad) {
-  ServerOptions options = baseOptions();
-  options.workers = 3;
-  Server server(options);
+  Server server(baseOptions());
   ASSERT_TRUE(server.start().ok());
 
   constexpr int kClients = 4;

@@ -2,7 +2,7 @@
 //
 //   tevot_router --model-dir DIR --serve-binary PATH [--port P]
 //                [--shards N] [--policy replicated|per-fu]
-//                [--fus "a,b;c;d"] [--workers N] [--queue N]
+//                [--fus "a,b;c;d"] [--max-in-flight N]
 //                [--deadline-ms MS] [--max-restarts N]
 //                [--shed-queue-fraction F] [--health-interval-ms MS]
 //
@@ -15,6 +15,9 @@
 //
 // --fus assigns FU ownership under per-fu policy: shard lists are
 // ';'-separated, FU names within a shard ','-separated.
+// --max-in-flight and --deadline-ms are passed to every shard's
+// tevot_serve; a shard's in-flight requests over its --max-in-flight
+// are the queue fraction that --shed-queue-fraction compares against.
 //
 // Signals:
 //   SIGHUP          rolling zero-downtime reload, one shard at a time
@@ -42,7 +45,7 @@ int usage() {
       "usage: tevot_router --model-dir DIR --serve-binary PATH\n"
       "                    [--port P] [--shards N]\n"
       "                    [--policy replicated|per-fu] [--fus LISTS]\n"
-      "                    [--workers N] [--queue N] [--deadline-ms MS]\n"
+      "                    [--max-in-flight N] [--deadline-ms MS]\n"
       "                    [--max-restarts N] [--shed-queue-fraction F]\n"
       "                    [--health-interval-ms MS]\n"
       "LISTS: per-fu shard ownership, e.g. \"int_add,int_mul;alu\"\n"
@@ -110,14 +113,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--fus") {
       if ((v = value()) == nullptr) return usage();
       fus_text = v;
-    } else if (arg == "--workers") {
+    } else if (arg == "--max-in-flight") {
       if ((v = value()) == nullptr) return usage();
-      supervisor_options.worker_threads =
+      supervisor_options.max_in_flight =
           static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--queue") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.queue_capacity =
-          static_cast<std::size_t>(std::atol(v));
+      if (supervisor_options.max_in_flight == 0) return usage();
     } else if (arg == "--deadline-ms") {
       if ((v = value()) == nullptr) return usage();
       supervisor_options.default_deadline_ms = std::atof(v);

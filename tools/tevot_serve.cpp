@@ -1,22 +1,24 @@
 // tevot_serve — resilient TEVoT prediction server.
 //
-//   tevot_serve --model-dir DIR [--port P] [--workers N] [--queue N]
-//               [--max-conns N] [--deadline-ms MS] [--drain-ms MS]
+//   tevot_serve --model-dir DIR [--port P] [--max-in-flight N]
+//               [--max-conns N] [--deadline-ms MS]
 //               [--breaker-failures N] [--breaker-cooldown-ms MS]
 //
 // Serves the newline-delimited protocol of src/serve/protocol.hpp on
 // 127.0.0.1 (port 0 = ephemeral; the bound port is printed on stdout
 // as "tevot_serve listening on 127.0.0.1:<port>" so scripts can parse
 // it). DIR holds one "<fu>.model" file per served functional unit, as
-// written by `tevot_cli train`.
+// written by `tevot_cli train`. Each request is computed on its
+// connection's thread; --max-in-flight caps how many compute at once
+// (one more is answered SHED queue full).
 //
 // Signals:
 //   SIGHUP          hot reload (validate-then-swap; failure keeps the
 //                   previous models serving) — also available as the
 //                   in-band `reload` request
-//   SIGTERM/SIGINT  graceful drain: stop accepting, finish or shed
-//                   queued work within --drain-ms, print final stats
-//                   to stderr, exit 0
+//   SIGTERM/SIGINT  graceful drain: stop accepting, let in-flight
+//                   requests finish, print final stats to stderr,
+//                   exit 0
 //
 // TEVOT_FAULTS arms the serve.accept / serve.parse / serve.predict /
 // serve.reload fault-injection points (util/fault_injection.hpp) for
@@ -24,10 +26,13 @@
 // response taxonomy.
 //
 // Exit codes: 0 clean drain, 1 runtime failure (bad model dir, bind
-// failure), 2 usage error.
+// failure), 2 usage error (including a malformed or out-of-range
+// flag value: counts must be >= 1, the port 0..65535, milliseconds
+// finite and >= 0).
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -41,15 +46,40 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: tevot_serve --model-dir DIR [--port P] [--workers N]\n"
-      "                   [--queue N] [--max-conns N] [--deadline-ms MS]\n"
-      "                   [--drain-ms MS] [--breaker-failures N]\n"
+      "usage: tevot_serve --model-dir DIR [--port P] [--max-in-flight N]\n"
+      "                   [--max-conns N] [--deadline-ms MS]\n"
+      "                   [--breaker-failures N]\n"
       "                   [--breaker-cooldown-ms MS] [--strict-verify]\n"
       "DIR: one <fu>.model per served unit (from `tevot_cli train`)\n"
+      "N >= 1, P in 0..65535 (0 = ephemeral), MS finite and >= 0\n"
       "--strict-verify: refuse models that fail interval certification\n"
       "  (tevot_cli verify-model) at load and at every reload\n"
       "SIGHUP reloads models; SIGTERM/SIGINT drains and exits 0\n");
   return 2;
+}
+
+int badValue(const std::string& flag, const char* value) {
+  std::fprintf(stderr, "tevot_serve: bad value for %s: '%s'\n",
+               flag.c_str(), value);
+  return usage();
+}
+
+/// Parses all of `text` as a T; junk, overflow, a sign on an unsigned
+/// T or trailing bytes fail.
+template <typename T>
+bool parseWhole(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+template <typename T>
+bool parseCount(const char* text, T* out) {
+  return parseWhole(text, out) && *out >= 1;
+}
+
+bool parseMillis(const char* text, double* out) {
+  return parseWhole(text, out) && std::isfinite(*out) && *out >= 0.0;
 }
 
 }  // namespace
@@ -74,29 +104,31 @@ int main(int argc, char** argv) {
       options.model_dir = v;
     } else if (arg == "--port") {
       if ((v = value()) == nullptr) return usage();
-      options.port = static_cast<int>(std::atol(v));
-      if (options.port < 0 || options.port > 65535) return usage();
-    } else if (arg == "--workers") {
+      if (!parseWhole(v, &options.port) || options.port < 0 ||
+          options.port > 65535) {
+        return badValue(arg, v);
+      }
+    } else if (arg == "--max-in-flight") {
       if ((v = value()) == nullptr) return usage();
-      options.workers = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--queue") {
-      if ((v = value()) == nullptr) return usage();
-      options.queue_capacity = static_cast<std::size_t>(std::atol(v));
+      if (!parseCount(v, &options.max_in_flight)) return badValue(arg, v);
     } else if (arg == "--max-conns") {
       if ((v = value()) == nullptr) return usage();
-      options.max_connections = static_cast<std::size_t>(std::atol(v));
+      if (!parseCount(v, &options.max_connections)) return badValue(arg, v);
     } else if (arg == "--deadline-ms") {
       if ((v = value()) == nullptr) return usage();
-      options.default_deadline_ms = std::atof(v);
-    } else if (arg == "--drain-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.drain_deadline_ms = std::atof(v);
+      if (!parseMillis(v, &options.default_deadline_ms)) {
+        return badValue(arg, v);
+      }
     } else if (arg == "--breaker-failures") {
       if ((v = value()) == nullptr) return usage();
-      options.breaker.failure_threshold = static_cast<int>(std::atol(v));
+      if (!parseCount(v, &options.breaker.failure_threshold)) {
+        return badValue(arg, v);
+      }
     } else if (arg == "--breaker-cooldown-ms") {
       if ((v = value()) == nullptr) return usage();
-      options.breaker.cooldown_ms = std::atof(v);
+      if (!parseMillis(v, &options.breaker.cooldown_ms)) {
+        return badValue(arg, v);
+      }
     } else if (arg == "--strict-verify") {
       options.strict_verify = true;
     } else {
