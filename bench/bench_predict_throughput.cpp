@@ -1,13 +1,18 @@
 // Inference-engine throughput: the scalar CART tree-walk vs the
 // compiled ml::FlatForest, scalar and batched, single- and
 // multi-threaded, plus end-to-end TevotModel paths (encoding
-// included) and tevot_serve predictN batch latency percentiles.
+// included) and tevot_serve predictN batch latency percentiles. The
+// end-to-end batch rows cover both predictDelayBatch paths: one batch
+// with a fresh corner per query (the encoded flat path) and 256-row
+// batches that each share one corner (the corner bit-forest path).
 //
 // Two outputs:
 //  * the usual bench_out/predict_throughput.json (TEVOT_BENCH_OUT),
 //  * BENCH_predict_throughput.json in the current directory — run
 //    from the repo root so the committed copy tracks the speedup
-//    trajectory across PRs (CI uploads it as an artifact).
+//    trajectory across PRs (CI uploads it as an artifact). It records
+//    the host and build (nproc, CPU model, compiler, build type), so
+//    copies from different machines are not compared blindly.
 //
 // Knobs:
 //   TEVOT_PREDICT_ROWS     distinct encoded rows (default 4096)
@@ -85,6 +90,40 @@ double timedRate(std::size_t rows, int repeat, std::size_t threads,
 
 /// Keeps the optimizer from discarding prediction loops.
 volatile double g_sink = 0.0;
+
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+std::string cpuModel() {
+  std::ifstream is("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+std::string compilerName() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("g++ ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// A JSON string literal (quotes and backslashes escaped).
+std::string jsonString(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
 
 }  // namespace
 
@@ -176,12 +215,29 @@ int main() {
         std::span<const core::DelayQuery>(queries.data() + lo, hi - lo),
         std::span<double>(batch_out.data() + lo, hi - lo));
   };
+  // The same operands in 256-row batches that each share the corner of
+  // their first query: the bit path, no encoding.
+  constexpr std::size_t kCornerBatch = 256;
+  std::vector<core::DelayQuery> corner_queries = queries;
+  for (std::size_t i = 0; i < rows; ++i) {
+    corner_queries[i].corner = queries[i - i % kCornerBatch].corner;
+  }
+  const auto e2e_corner_body = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; b += kCornerBatch) {
+      const std::size_t n = std::min(kCornerBatch, hi - b);
+      model.predictDelayBatch(
+          std::span<const core::DelayQuery>(corner_queries.data() + b, n),
+          std::span<double>(batch_out.data() + b, n));
+    }
+  };
   const int e2e_repeat = std::max(1, repeat / 4);
   const double e2e_scalar = timedRate(rows, e2e_repeat, 1, e2e_scalar_body);
   const double e2e_batch = timedRate(rows, e2e_repeat, 1, e2e_batch_body);
+  const double e2e_corner = timedRate(rows, e2e_repeat, 1, e2e_corner_body);
   std::printf("  end-to-end (with encoding): scalar %.0f/s, batch %.0f/s "
-              "(%.2fx)\n",
-              e2e_scalar, e2e_batch, e2e_batch / e2e_scalar);
+              "(%.2fx); %zu-row one-corner batches %.0f/s (%.2fx)\n",
+              e2e_scalar, e2e_batch, e2e_batch / e2e_scalar, kCornerBatch,
+              e2e_corner, e2e_corner / e2e_scalar);
 
   // Serve-side predictN latency: one client, 64-tuple batches.
   const std::string dir =
@@ -251,6 +307,9 @@ int main() {
       {"e2e_scalar_predictions_per_s_1t", e2e_scalar},
       {"e2e_batch_predictions_per_s_1t", e2e_batch},
       {"e2e_batch_speedup_vs_scalar_1t", e2e_batch / e2e_scalar},
+      {"e2e_corner_batch_rows", static_cast<double>(kCornerBatch)},
+      {"e2e_corner_batch_predictions_per_s_1t", e2e_corner},
+      {"e2e_corner_batch_speedup_vs_scalar_1t", e2e_corner / e2e_scalar},
       {"serve_batch_predictions_per_s", serve_batch_rps},
       {"serve_batch_p50_ms", stats.p50_ms},
       {"serve_batch_p95_ms", stats.p95_ms},
@@ -261,8 +320,12 @@ int main() {
   // The committed repo-root copy (run from the repo root).
   std::ofstream os("BENCH_predict_throughput.json");
   if (os) {
-    os << "{\n  \"bench\": \"predict_throughput\",\n  \"wall_clock_s\": "
-       << wall;
+    os << "{\n  \"bench\": \"predict_throughput\",\n  \"nproc\": "
+       << std::thread::hardware_concurrency()
+       << ",\n  \"cpu_model\": " << jsonString(cpuModel())
+       << ",\n  \"compiler\": " << jsonString(compilerName())
+       << ",\n  \"build_type\": " << jsonString(TEVOT_BUILD_TYPE)
+       << ",\n  \"wall_clock_s\": " << wall;
     for (const auto& [key, value] : metrics) {
       os << ",\n  \"" << key << "\": " << value;
     }

@@ -41,6 +41,12 @@
 // through): a NaN feature sends the scalar comparison right but the
 // branchless step left, so only predict() matches the tree-walk on
 // NaN rows.
+//
+// FlatForest is the general batch engine and the form verify/
+// analyzes. For batches whose rows share one (V, T) corner,
+// ml::BitForest compiles a FlatForest down to the splits that still
+// read a bit at that corner (see bit_forest.hpp); that path reads
+// exact 0/1 bits, so the NaN caveat above does not apply to it.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +14,7 @@
 
 #include "ml/serialize.hpp"
 #include "tevot/operating_grid.hpp"
+#include "util/rng.hpp"
 
 namespace tevot::core {
 
@@ -70,6 +72,15 @@ void requireFiniteCorner(const liberty::Corner& corner) {
   throw util::StatusError(util::Status::invalidArgument(msg));
 }
 
+/// The corner as the forest sees it: the float bit patterns of V and T.
+std::uint64_t cornerKey(const liberty::Corner& corner) {
+  const auto v = std::bit_cast<std::uint32_t>(
+      static_cast<float>(corner.voltage));
+  const auto t = std::bit_cast<std::uint32_t>(
+      static_cast<float>(corner.temperature));
+  return (static_cast<std::uint64_t>(v) << 32) | t;
+}
+
 }  // namespace
 
 double TevotModel::predictDelay(std::uint32_t a, std::uint32_t b,
@@ -93,15 +104,60 @@ void TevotModel::predictDelayBatch(std::span<const DelayQuery> queries,
         "TevotModel::predictDelayBatch: queries/out size mismatch");
   }
   if (queries.empty()) return;
+  const std::uint64_t key = cornerKey(queries.front().corner);
+  bool one_corner = true;
+  for (const DelayQuery& q : queries) {
+    requireFiniteCorner(q.corner);
+    one_corner = one_corner && cornerKey(q.corner) == key;
+  }
+  if (one_corner && queries.size() >= kBitPathMinRows) {
+    cornerForest(queries.front().corner)->predictBatch(queries, out.data());
+    return;
+  }
   const std::size_t cols = encoder_.featureCount();
   std::vector<float> rows(queries.size() * cols);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const DelayQuery& q = queries[i];
-    requireFiniteCorner(q.corner);
     encoder_.encode(q.a, q.b, q.prev_a, q.prev_b, q.corner,
                     std::span<float>(rows.data() + i * cols, cols));
   }
   flat_.predictBatch(rows.data(), queries.size(), cols, out.data());
+}
+
+std::shared_ptr<const ml::BitForest> TevotModel::cornerForest(
+    const liberty::Corner& corner) const {
+  const std::uint64_t key = cornerKey(corner);
+  if (auto cached = corner_cache_.find(key)) return cached;
+  const float fixed[] = {static_cast<float>(corner.voltage),
+                         static_cast<float>(corner.temperature)};
+  return corner_cache_.insert(
+      key, std::make_shared<const ml::BitForest>(ml::BitForest::compile(
+               flat_, encoder_.featureCount() - 2, fixed)));
+}
+
+std::shared_ptr<const ml::BitForest> TevotModel::CornerCache::find(
+    std::uint64_t key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const Entry& entry : entries_) {
+    if (entry.key == key) return entry.forest;
+  }
+  return nullptr;
+}
+
+std::shared_ptr<const ml::BitForest> TevotModel::CornerCache::insert(
+    std::uint64_t key, std::shared_ptr<const ml::BitForest> forest) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const Entry& entry : entries_) {
+    if (entry.key == key) return entry.forest;
+  }
+  if (entries_.size() == kCornerCacheSize) entries_.erase(entries_.begin());
+  entries_.push_back({key, forest});
+  return forest;
+}
+
+void TevotModel::CornerCache::clear() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  entries_.clear();
 }
 
 util::Status TevotModel::validateForServing() const {
@@ -148,6 +204,27 @@ util::Status TevotModel::validateForServing() const {
         return util::Status::invalidArgument(
             "flat engine diverges from scalar walk on canary: " +
             std::to_string(flat) + " vs " + std::to_string(delay));
+      }
+    }
+  }
+  // The bit path: each canary corner as one single-corner batch just
+  // long enough to take it, row by row against the scalar walk.
+  util::Rng rng(0xb17f0e57ULL);
+  std::vector<DelayQuery> batch(kBitPathMinRows);
+  std::vector<double> batch_out(kBitPathMinRows);
+  for (const liberty::Corner& corner : canary_corners) {
+    for (DelayQuery& q : batch) {
+      q = {rng.nextU32(), rng.nextU32(), rng.nextU32(), rng.nextU32(),
+           corner};
+    }
+    predictDelayBatch(batch, batch_out);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const DelayQuery& q = batch[i];
+      const double delay = predictDelay(q.a, q.b, q.prev_a, q.prev_b, corner);
+      if (std::memcmp(&batch_out[i], &delay, sizeof(double)) != 0) {
+        return util::Status::invalidArgument(
+            "corner forest diverges from scalar walk on canary: " +
+            std::to_string(batch_out[i]) + " vs " + std::to_string(delay));
       }
     }
   }

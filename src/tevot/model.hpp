@@ -8,18 +8,31 @@
 // erroneous} across all clock speeds. The paper's Eq. 3 delay matrix
 // corresponds to buildDelayDataset().
 //
-// Two inference paths, one answer: predictDelay walks the CART trees
-// (the reference), predictDelayBatch runs the compiled ml::FlatForest
-// over N queries at once. The flat path is bit-identical to the
-// scalar walk — check::checkFlatForestBitIdentity enforces it, and
-// validateForServing cross-checks the two engines on its canaries.
+// Inference paths, one answer: predictDelay walks the CART trees (the
+// reference). predictDelayBatch takes one of two batch paths:
+//  * a batch of at least kBitPathMinRows rows that all sit at one
+//    float (V, T) runs an ml::BitForest specialized to that corner,
+//    which reads the operand words directly (no encoding). Corner
+//    forests are built on first use and kept in a per-model FIFO cache
+//    of kCornerCacheSize entries;
+//  * any other batch is encoded into 130- (or 66-) float rows and runs
+//    the compiled ml::FlatForest. This general path is what verify/
+//    analyzes.
+// Both are bit-identical to the scalar walk —
+// check::checkFlatForestBitIdentity enforces it, and
+// validateForServing cross-checks all three engines on its canaries.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "dta/dta.hpp"
+#include "ml/bit_forest.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/random_forest.hpp"
 #include "tevot/features.hpp"
@@ -78,11 +91,20 @@ class TevotModel {
                       std::uint32_t prev_a, std::uint32_t prev_b,
                       const liberty::Corner& corner) const;
 
-  /// Batched prediction through the flat engine: out[i] receives the
-  /// delay for queries[i], bit-identical to predictDelay on the same
-  /// operands. Thread-safe like predictDelay. Throws
-  /// std::invalid_argument when the spans disagree in length and
-  /// util::StatusError (kInvalidArgument) on a NaN/inf query corner.
+  /// Smallest single-corner batch that takes the bit path: building a
+  /// corner forest costs about as much as the bit path saves on this
+  /// many rows.
+  static constexpr std::size_t kBitPathMinRows = 128;
+  /// Corner forests kept per model; the oldest is evicted first.
+  static constexpr std::size_t kCornerCacheSize = 16;
+
+  /// Batched prediction: out[i] receives the delay for queries[i],
+  /// bit-identical to predictDelay on the same operands. Batches of at
+  /// least kBitPathMinRows rows at one float (V, T) run the corner's
+  /// bit forest; the rest run the flat engine (see the file comment).
+  /// Thread-safe like predictDelay. Throws std::invalid_argument when
+  /// the spans disagree in length and util::StatusError
+  /// (kInvalidArgument) on a NaN/inf query corner.
   void predictDelayBatch(std::span<const DelayQuery> queries,
                          std::span<double> out) const;
 
@@ -114,7 +136,9 @@ class TevotModel {
   /// 0/100 C) — a model that goes non-finite at low voltage must be
   /// rejected at reload, not discovered mid-serve. Each canary also
   /// cross-checks the flat engine against the scalar walk bit for
-  /// bit. ok() when the model is safe to serve.
+  /// bit, and each canary corner runs one kBitPathMinRows-row batch
+  /// through the bit path, memcmp'd row by row against predictDelay.
+  /// ok() when the model is safe to serve.
   util::Status validateForServing() const;
 
   /// Pre-trained model persistence (forest + history flag). save()
@@ -135,13 +159,52 @@ class TevotModel {
   static TevotModel load(const std::string& path);
 
  private:
-  /// (Re)compiles flat_ from forest_; called after train/load.
-  void compileFlat() { flat_ = ml::FlatForest::fromRegressor(forest_); }
+  /// Bounded FIFO map from a corner key to its bit forest. Entries are
+  /// immutable and shared, so a batch keeps its forest alive while
+  /// another thread evicts it. Lookups and inserts take one mutex;
+  /// forests are built outside it. A copied or moved-to cache starts
+  /// empty: entries derive from flat_ and are rebuilt on demand.
+  class CornerCache {
+   public:
+    CornerCache() = default;
+    CornerCache(const CornerCache&) {}
+    CornerCache& operator=(const CornerCache&) {
+      clear();
+      return *this;
+    }
+
+    std::shared_ptr<const ml::BitForest> find(std::uint64_t key);
+    /// Inserts `forest` under `key` unless another thread got there
+    /// first; returns the entry that is cached.
+    std::shared_ptr<const ml::BitForest> insert(
+        std::uint64_t key, std::shared_ptr<const ml::BitForest> forest);
+    void clear();
+
+   private:
+    struct Entry {
+      std::uint64_t key;
+      std::shared_ptr<const ml::BitForest> forest;
+    };
+    std::mutex mutex_;
+    std::vector<Entry> entries_;  ///< oldest first
+  };
+
+  /// (Re)compiles flat_ from forest_ and drops the corner forests
+  /// built from the old one; called after train/load.
+  void compileFlat() {
+    flat_ = ml::FlatForest::fromRegressor(forest_);
+    corner_cache_.clear();
+  }
+
+  /// The bit forest for one corner, from the cache or built now.
+  std::shared_ptr<const ml::BitForest> cornerForest(
+      const liberty::Corner& corner) const;
 
   TevotConfig config_;
   FeatureEncoder encoder_;
   ml::RandomForestRegressor forest_;
   ml::FlatForest flat_;
+  mutable CornerCache corner_cache_;
 };
 
 }  // namespace tevot::core

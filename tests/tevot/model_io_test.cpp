@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "ml/serialize.hpp"
 #include "tevot/model.hpp"
 #include "tevot/pipeline.hpp"
 #include "util/fault_injection.hpp"
@@ -257,6 +258,40 @@ TEST_F(ModelIoTest, ValidateForServingProbesGridExtremes) {
   const TevotModel no_history = trainedModel(false);
   EXPECT_TRUE(no_history.validateForServing().ok());
   EXPECT_FALSE(TevotModel().validateForServing().ok());
+}
+
+TEST_F(ModelIoTest, ValidateForServingRunsBitPathOnAlwaysRightBitSplit) {
+  // Bit a[0] split at threshold -0.5: both 0 and 1 go right, so the
+  // corner forest resolves the split away. The gate's single-corner
+  // batches must still match the scalar walk, and so must a served
+  // batch long enough to take the bit path.
+  std::vector<ml::DecisionTree::Node> nodes(3);
+  nodes[0].feature = 0;
+  nodes[0].threshold = -0.5f;
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  nodes[1].value = 100.0f;
+  nodes[2].value = 300.0f;
+  std::vector<ml::DecisionTree> trees(1);
+  trees[0].setNodes(std::move(nodes));
+  ml::RandomForestRegressor forest;
+  forest.setTrees(std::move(trees));
+  std::ostringstream text;
+  text << "tevot-model v1 history 1\n";
+  ml::saveForest(text, forest);
+  const std::string path = pidScopedPath("always_right.model");
+  writeFile(path, text.str());
+  const TevotModel model = TevotModel::load(path);
+  std::remove(path.c_str());
+
+  EXPECT_TRUE(model.validateForServing().ok());
+  std::vector<DelayQuery> batch(TevotModel::kBitPathMinRows);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = {static_cast<std::uint32_t>(i), 0u, 0u, 0u, {0.9, 50.0}};
+  }
+  std::vector<double> out(batch.size());
+  model.predictDelayBatch(batch, out);
+  for (const double delay : out) EXPECT_EQ(delay, 300.0);
 }
 
 }  // namespace
