@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 
@@ -65,10 +66,16 @@ TEST(HalfFullAdderTest, TruthTables) {
   }
 }
 
+// CTest names each case after the raw bytes of its parameter, so the struct
+// has no padding: `tag` fills the tail explicitly and pins each case's name to
+// the bytes it was first registered under (once taken from uninitialized
+// padding). The test body does not read it.
 struct AdderCase {
   int width;
   bool kogge_stone;
+  std::array<std::uint8_t, 3> tag;
 };
+static_assert(sizeof(AdderCase) == 8, "AdderCase must have no padding");
 
 class AdderParamTest : public ::testing::TestWithParam<AdderCase> {};
 
@@ -106,11 +113,16 @@ TEST_P(AdderParamTest, MatchesWordAddition) {
 
 INSTANTIATE_TEST_SUITE_P(
     Widths, AdderParamTest,
-    ::testing::Values(AdderCase{1, true}, AdderCase{2, true},
-                      AdderCase{3, true}, AdderCase{8, true},
-                      AdderCase{13, true}, AdderCase{32, true},
-                      AdderCase{48, true}, AdderCase{1, false},
-                      AdderCase{8, false}, AdderCase{32, false}));
+    ::testing::Values(AdderCase{1, true, {0x00, 0x00, 0x00}},
+                      AdderCase{2, true, {0x00, 0x00, 0x00}},
+                      AdderCase{3, true, {0x1E, 0x09, 0x00}},
+                      AdderCase{8, true, {0x00, 0xC0, 0xCA}},
+                      AdderCase{13, true, {0x00, 0xD0, 0xCA}},
+                      AdderCase{32, true, {0x00, 0xC5, 0xCA}},
+                      AdderCase{48, true, {0x00, 0x00, 0x00}},
+                      AdderCase{1, false, {0x00, 0x00, 0x00}},
+                      AdderCase{8, false, {0x00, 0x00, 0x00}},
+                      AdderCase{32, false, {0x00, 0x00, 0x00}}));
 
 TEST(SubtractorTest, DiffAndBorrow) {
   Netlist nl("sub");
