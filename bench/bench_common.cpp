@@ -2,9 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+
+#include "util/flags.hpp"
 
 namespace tevot::bench {
 
@@ -47,14 +48,11 @@ BenchScale BenchScale::fromEnvironment(int argc, char** argv) {
       "TEVOT_IMAGE_SIZE", scale.image_size));
   scale.jobs = static_cast<std::size_t>(
       util::envInt("TEVOT_JOBS", static_cast<long>(scale.jobs)));
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      scale.jobs = static_cast<std::size_t>(std::atol(argv[i + 1]));
-      ++i;
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      scale.jobs = static_cast<std::size_t>(std::atol(argv[i] + 7));
-    }
-  }
+  util::Flags flags("bench", "usage: bench [--jobs N]  (N in 0.." +
+                                 std::to_string(util::kMaxJobs) +
+                                 ", 0 = one per hardware thread)\n");
+  flags.option("--jobs", util::jobs(&scale.jobs));
+  if (!flags.parse(argc, argv)) std::exit(flags.usage());
   if (scale.jobs == 0) scale.jobs = util::ThreadPool::hardwareThreads();
   return scale;
 }

@@ -123,8 +123,10 @@ void writeTextFile(const std::string& path, const std::string& text) {
                              std::strerror(errno));
   }
   os << text;
+  os.flush();
   if (!os) {
-    throw std::runtime_error("writeTextFile: write failed for " + path);
+    throw std::runtime_error("writeTextFile: write failed for " + path +
+                             ": " + std::strerror(errno));
   }
 }
 

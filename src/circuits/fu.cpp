@@ -38,6 +38,16 @@ std::string_view fuSlug(FuKind kind) {
   throw std::invalid_argument("fuSlug: bad kind");
 }
 
+bool fuFromSlug(std::string_view slug, FuKind* out) {
+  for (const FuKind kind : kAllFus) {
+    if (slug == fuSlug(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 netlist::Netlist buildFu(FuKind kind) {
   switch (kind) {
     case FuKind::kIntAdd:

@@ -26,6 +26,9 @@ std::string_view fuName(FuKind kind);
 /// model directory holds.
 std::string_view fuSlug(FuKind kind);
 
+/// Inverse of fuSlug: false unless `slug` is exactly one unit's slug.
+bool fuFromSlug(std::string_view slug, FuKind* out);
+
 /// Builds the gate-level netlist of a functional unit: inputs a[32]
 /// then b[32] (64 primary inputs), outputs are the 32 result bits.
 netlist::Netlist buildFu(FuKind kind);

@@ -8,10 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
+#include "util/flags.hpp"
 #include "util/log.hpp"
 
 namespace tevot::fleet {
@@ -47,7 +48,10 @@ int readAnnouncement(int fd, double timeout_ms) {
     }
     const std::size_t pos = out.find(marker);
     if (pos != std::string::npos) {
-      return std::atoi(out.c_str() + pos + std::strlen(marker));
+      int port = 0;
+      const std::string_view digits =
+          std::string_view(out).substr(pos + std::strlen(marker));
+      return util::parseWhole(digits, &port) ? port : -1;
     }
     out.clear();
   }

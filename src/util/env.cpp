@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "util/flags.hpp"
+
 namespace tevot::util {
 
 std::string envString(const char* name, const std::string& fallback) {
@@ -13,21 +15,13 @@ std::string envString(const char* name, const std::string& fallback) {
 }
 
 long envInt(const char* name, long fallback) {
-  const std::string raw = envString(name, "");
-  if (raw.empty()) return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || (end != nullptr && *end != '\0')) return fallback;
-  return value;
+  long value = 0;
+  return parseWhole(envString(name, ""), &value) ? value : fallback;
 }
 
 double envDouble(const char* name, double fallback) {
-  const std::string raw = envString(name, "");
-  if (raw.empty()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || (end != nullptr && *end != '\0')) return fallback;
-  return value;
+  double value = 0.0;
+  return parseWhole(envString(name, ""), &value) ? value : fallback;
 }
 
 bool envFlag(const char* name, bool fallback) {

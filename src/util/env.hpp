@@ -18,7 +18,8 @@ std::string envString(const char* name, const std::string& fallback);
 /// absence or parse failure.
 long envInt(const char* name, long fallback);
 
-/// Parses a floating-point environment variable.
+/// Parses a floating-point environment variable; returns `fallback`
+/// on absence or parse failure.
 double envDouble(const char* name, double fallback);
 
 /// True when the variable is set to 1/true/yes/on (case-insensitive).

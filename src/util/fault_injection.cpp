@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "util/env.hpp"
+#include "util/flags.hpp"
 #include "util/status.hpp"
 
 namespace tevot::util {
@@ -152,7 +153,12 @@ FaultPlan FaultInjector::planFromSpec(const std::string& spec) {
     }
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
-    char* end = nullptr;
+    const auto check = [&value](bool ok, const char* what) {
+      if (!ok) {
+        throw std::invalid_argument(std::string("fault spec: bad ") + what +
+                                    " '" + value + "'");
+      }
+    };
     if (key == "points") {
       std::istringstream points(value);
       std::string point;
@@ -163,29 +169,13 @@ FaultPlan FaultInjector::planFromSpec(const std::string& spec) {
         throw std::invalid_argument("fault spec: empty points list");
       }
     } else if (key == "rate") {
-      plan.rate = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || plan.rate < 0.0 ||
-          plan.rate > 1.0) {
-        throw std::invalid_argument("fault spec: bad rate '" + value + "'");
-      }
+      check(fraction(&plan.rate)(value), "rate");
     } else if (key == "seed") {
-      plan.seed = std::strtoull(value.c_str(), &end, 0);
-      if (end == value.c_str() || *end != '\0') {
-        throw std::invalid_argument("fault spec: bad seed '" + value + "'");
-      }
+      check(seed(&plan.seed)(value), "seed");
     } else if (key == "attempts") {
-      plan.fail_attempts =
-          static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      if (end == value.c_str() || *end != '\0' || plan.fail_attempts < 1) {
-        throw std::invalid_argument("fault spec: bad attempts '" + value +
-                                    "'");
-      }
+      check(count(&plan.fail_attempts)(value), "attempts");
     } else if (key == "slow-ms" || key == "slow_ms") {
-      plan.slow_ms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || plan.slow_ms < 0.0) {
-        throw std::invalid_argument("fault spec: bad slow-ms '" + value +
-                                    "'");
-      }
+      check(nonNegative(&plan.slow_ms)(value), "slow-ms");
     } else {
       throw std::invalid_argument("fault spec: unknown key '" + key + "'");
     }

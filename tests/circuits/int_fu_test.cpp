@@ -169,6 +169,21 @@ TEST(FuInterfaceTest, NamesAndShapes) {
   EXPECT_EQ(fuName(FuKind::kFpMul), "FP MUL");
 }
 
+TEST(FuInterfaceTest, SlugLookupRoundTripsAndIsExact) {
+  for (const FuKind kind : kAllFus) {
+    FuKind parsed = kind == FuKind::kIntAdd ? FuKind::kFpMul : FuKind::kIntAdd;
+    ASSERT_TRUE(fuFromSlug(fuSlug(kind), &parsed)) << fuSlug(kind);
+    EXPECT_EQ(parsed, kind);
+  }
+  // The display name, the empty string, trailing bytes and unknown
+  // names are refused and leave the output untouched.
+  for (const char* bad : {"INT ADD", "", "int_add ", "bogus"}) {
+    FuKind parsed = FuKind::kFpAdd;
+    EXPECT_FALSE(fuFromSlug(bad, &parsed)) << "'" << bad << "'";
+    EXPECT_EQ(parsed, FuKind::kFpAdd);
+  }
+}
+
 TEST(FuInterfaceTest, MultiplierIsLargerThanAdder) {
   // Structural sanity used by the paper's "more complex circuit"
   // argument: the multipliers dwarf the adders.

@@ -98,6 +98,25 @@ TEST(DvfsBinaryTest, MissingBackendChoiceIsUsageError) {
   EXPECT_EQ(runDvfsBinary("--cert-dir '" + certs + "'").exit_code, 2);
 }
 
+TEST(DvfsBinaryTest, MalformedFlagValuesAreUsageErrors) {
+  // Each value must be refused before anything runs: a NaN guardband
+  // makes every clock comparison false and would hide real violations.
+  const check::OracleModel oracle = check::oracleModel();
+  const std::string certs = writeCertDir("malformed", soundTclkPs());
+  const std::string base = "--cert-dir '" + certs + "' --model-dir '" +
+                           oracle.model_dir +
+                           "' --fus int_add --cycles 33 --window 8 ";
+  for (const char* flag : {"--guardband nan", "--hysteresis nan",
+                           "--jobs abc", "--cycles 1x"}) {
+    const RunResult result = runDvfsBinary(base + flag);
+    EXPECT_EQ(result.exit_code, 2) << flag << "\n" << result.output;
+    EXPECT_NE(result.output.find("bad value for"), std::string::npos)
+        << flag << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos) << flag;
+    EXPECT_EQ(result.output.find("windows"), std::string::npos) << flag;
+  }
+}
+
 TEST(DvfsBinaryTest, CleanRunExitsZeroWithJsonReport) {
   const check::OracleModel oracle = check::oracleModel();
   const std::string certs = writeCertDir("clean", soundTclkPs());

@@ -3,7 +3,8 @@
 // classified summary, flush a valid --json payload marked
 // "interrupted": 1, and exit 130 — a cut-short run leaves data, not
 // wreckage. The server side runs in-process; only the loadgen is a
-// child process (it is the one being signalled).
+// child process (it is the one being signalled). Malformed option
+// values must exit 2 before the storm starts.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "check/serve_oracle.hpp"
 #include "fixture.hpp"
@@ -106,6 +108,24 @@ TEST(LoadgenSigintTest, UninterruptedRunReportsInterruptedZero) {
   const std::string json = slurp(json_path);
   EXPECT_EQ(jsonNumber(json, "interrupted"), 0.0);
   server.drainAndStop();
+}
+
+TEST(LoadgenUsageTest, MalformedValuesAreUsageErrors) {
+  // Refused before any connection or client thread exists: the storm
+  // banner is printed only once the options are accepted.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--duration-s", "abc"}, {"--connections", "0"}, {"--seed", "-1"}};
+  for (const std::vector<std::string>& flag : cases) {
+    std::vector<std::string> args = {"--port", "1"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    fleet_test::Process loadgen =
+        fleet_test::Process::spawn(TEVOT_LOADGEN_BINARY, args);
+    EXPECT_EQ(loadgen.wait(), 2) << flag[0] << " " << flag[1];
+    const std::string err = loadgen.readStderr();
+    EXPECT_NE(err.find("usage:"), std::string::npos) << flag[0];
+    EXPECT_EQ(err.find("storm"), std::string::npos) << flag[0] << "\n"
+                                                    << err;
+  }
 }
 
 }  // namespace

@@ -217,6 +217,29 @@ TEST(ShardKillStormTest, RouterBinaryRejectsBadUsage) {
   EXPECT_EQ(bad_policy.wait(), 2);
 }
 
+TEST(ShardKillStormTest, RouterBinaryRejectsMalformedValues) {
+  // Refused before any shard is spawned: a bad --port must not become
+  // an ephemeral port, nor a NaN deadline a shard option.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--port", "abc"}, {"--deadline-ms", "nan"}, {"--shards", "0"}, {}};
+  for (const std::vector<std::string>& flag : cases) {
+    std::vector<std::string> args = {"--model-dir", serveTestModels().dir};
+    if (!flag.empty()) {  // the empty case omits --serve-binary
+      args.insert(args.end(), {"--serve-binary", TEVOT_SERVE_BINARY});
+      args.insert(args.end(), flag.begin(), flag.end());
+    }
+    const std::string what = flag.empty() ? "no --serve-binary" : flag[0];
+    Process router = Process::spawn(TEVOT_ROUTER_BINARY, args);
+    const bool served = router.awaitReady();
+    EXPECT_FALSE(served) << what;
+    if (served) router.signal(SIGTERM);  // drain, so wait() returns
+    EXPECT_TRUE(router.shards().empty()) << what;
+    EXPECT_EQ(router.wait(), 2) << what;
+    EXPECT_NE(router.readStderr().find("usage:"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(ShardKillStormTest, SighupRollsReloadAcrossFleet) {
   Process router = Process::spawn(
       TEVOT_ROUTER_BINARY,

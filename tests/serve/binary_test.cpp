@@ -254,7 +254,8 @@ TEST(ServeBinaryTest, MalformedFlagValuesAreUsageErrors) {
   const std::vector<std::vector<std::string>> cases = {
       {"--max-in-flight", "0"}, {"--max-in-flight", "-1"},
       {"--port", "abc"},        {"--deadline-ms", "nan"},
-      {"--workers", "2"},
+      {"--workers", "2"},       {"--port", "70000"},
+      {"--max-conns", "1.5"},
   };
   for (const std::vector<std::string>& flag : cases) {
     std::vector<std::string> args = {"--model-dir", serveTestModels().dir};

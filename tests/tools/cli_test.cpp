@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -85,6 +86,28 @@ TEST(CliTest, SweepFlagValidationIsUsageError) {
   EXPECT_EQ(resume.exit_code, 2);
   EXPECT_NE(resume.output.find("--resume requires --out"),
             std::string::npos);
+}
+
+TEST(CliTest, MalformedValuesAreUsageErrors) {
+  // Each value must be refused whole before any work starts, never
+  // coerced to 0, NaN or a numeric prefix. {args, env}.
+  const std::pair<const char*, const char*> cases[] = {
+      {"sta int_add abc 50", ""},
+      {"predict m.model 0.9 50 1 2 3 4 abc", ""},
+      {"--jobs -1 fu-list", ""},
+      {"--jobs abc fu-list", ""},
+      {"fu-list", "TEVOT_JOBS=abc"},
+      {"sweep int_add 20 --seed 12z", ""},
+  };
+  for (const auto& [args, env] : cases) {
+    const RunResult result = runCli(args, env);
+    EXPECT_EQ(result.exit_code, 2) << env << " " << args << "\n"
+                                   << result.output;
+    EXPECT_NE(result.output.find("bad value for"), std::string::npos)
+        << env << " " << args << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos)
+        << env << " " << args;
+  }
 }
 
 TEST(CliTest, MissingModelFileIsRuntimeErrorWithPathAndErrno) {

@@ -57,29 +57,34 @@
 // contract violation — this is the CI serve smoke check.
 //
 // The global `--jobs N` option (or TEVOT_JOBS) sets the worker count
-// for the parallel commands (`train`, `sweep`); N=0 means one job per
-// hardware thread. Results are bit-identical for every N.
+// for the parallel commands (`train`, `sweep`, `lint`); N=0 means one
+// job per hardware thread, N <= util::kMaxJobs. Results are
+// bit-identical for every N. Values parse whole and in range: V, T
+// finite; cycles and counts >= 1 (sweep cycles >= 2, --max-retries
+// >= 0); PS, tclk_ps > 0; MS >= 0; port 1..65535; seeds and operands
+// decimal, 0x hex or 0 octal.
 //
 // Exit codes: 0 success, 1 runtime failure (I/O error, failed sweep
-// jobs), 2 usage error, 3 check/oracle violation.
+// jobs), 2 usage error (including a malformed or out-of-range value),
+// 3 check/oracle violation.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <cerrno>
-#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/env.hpp"
 #include "util/fault_injection.hpp"
+#include "util/flags.hpp"
 #include "util/signal.hpp"
 #include "util/thread_pool.hpp"
 
 #include "check/dvfs_oracle.hpp"
 #include "check/flat_oracle.hpp"
 #include "check/fleet_oracle.hpp"
+#include "check/golden.hpp"
 #include "check/oracles.hpp"
 #include "check/property.hpp"
 #include "check/serve_oracle.hpp"
@@ -103,59 +108,66 @@ using namespace tevot;
 // from a crashed run from a failed oracle.
 constexpr int kExitOk = 0;
 constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
 constexpr int kExitCheckFailed = 3;
 constexpr int kExitInterrupted = 130;  // 128 + SIGINT, shell convention
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: tevot_cli [--jobs N] <command> [args]\n"
-               "  fu-list\n"
-               "  export-verilog <fu> <file.v>\n"
-               "  export-lib <file.lib>\n"
-               "  sdf <fu> <V> <T> <file.sdf>\n"
-               "  sta <fu> <V> <T>\n"
-               "  characterize <fu> <V> <T> <cycles> [csv-file]\n"
-               "  train <fu> <model-file> [cycles-per-corner]\n"
-               "  predict <model-file> <V> <T> <a> <b> <prev_a> <prev_b> "
-               "[tclk_ps]\n"
-               "  check [n-seeds] [--seed S]\n"
-               "  sweep <fu> <cycles-per-corner> [--out DIR] [--grid NVxNT]\n"
-               "        [--seed S] [--resume] [--max-retries N] "
-               "[--backoff-ms MS]\n"
-               "        [--job-deadline MS] [--fail-fast] [--report FILE]\n"
-               "  lint <fu>|--all [--grid NVxNT] [--budget PS] "
-               "[--waivers FILE]\n"
-               "       [--sdf FILE] [--json FILE]\n"
-               "  verify-model <model-file> [--grid NVxNT] [--tclk PS]\n"
-               "               [--refine-budget N] [--waivers FILE]\n"
-               "               [--json FILE] [--cert FILE]\n"
-               "  serve-check <port> <model-file> <fu> [--clients N] "
-               "[--requests N]\n"
-               "              [--seed S]\n"
-               "fu: int_add | int_mul | fp_add | fp_mul\n"
-               "--jobs N: worker threads for parallel commands "
-               "(0 = hardware threads)\n"
-               "exit codes: 0 ok, 1 runtime failure, 2 usage, "
-               "3 check failure,\n"
-               "            130 sweep interrupted by SIGINT/SIGTERM\n");
-  return kExitUsage;
+const std::string kUsage =
+    "usage: tevot_cli [--jobs N] <command> [args]\n"
+    "  fu-list\n"
+    "  export-verilog <fu> <file.v>\n"
+    "  export-lib <file.lib>\n"
+    "  sdf <fu> <V> <T> <file.sdf>\n"
+    "  sta <fu> <V> <T>\n"
+    "  characterize <fu> <V> <T> <cycles> [csv-file]\n"
+    "  train <fu> <model-file> [cycles-per-corner]\n"
+    "  predict <model-file> <V> <T> <a> <b> <prev_a> <prev_b> [tclk_ps]\n"
+    "  check [n-seeds] [--seed S]\n"
+    "  sweep <fu> <cycles-per-corner> [--out DIR] [--grid NVxNT]\n"
+    "        [--seed S] [--resume] [--max-retries N] [--backoff-ms MS]\n"
+    "        [--job-deadline MS] [--fail-fast] [--report FILE]\n"
+    "  lint <fu>|--all [--grid NVxNT] [--budget PS] [--waivers FILE]\n"
+    "       [--sdf FILE] [--json FILE]\n"
+    "  verify-model <model-file> [--grid NVxNT] [--tclk PS]\n"
+    "               [--refine-budget N] [--waivers FILE]\n"
+    "               [--json FILE] [--cert FILE]\n"
+    "  serve-check <port> <model-file> <fu> [--clients N] [--requests N]\n"
+    "              [--seed S]\n"
+    "fu: int_add | int_mul | fp_add | fp_mul\n"
+    "--jobs N: worker threads for parallel commands (0 = hardware\n"
+    "  threads, at most " + std::to_string(util::kMaxJobs) + ")\n"
+    "values: V, T finite; cycles, N >= 1 (sweep cycles >= 2,\n"
+    "  --max-retries >= 0); PS, tclk_ps > 0; MS >= 0; S and\n"
+    "  operands decimal, 0x hex or 0 octal; port 1..65535\n"
+    "exit codes: 0 ok, 1 runtime failure, 2 usage, 3 check failure,\n"
+    "            130 sweep interrupted by SIGINT/SIGTERM\n";
+
+/// One command line: the tokens after the command name, parsed against
+/// a flag table that already holds the global --jobs option.
+struct Cli {
+  int argc = 0;
+  char** argv = nullptr;
+  int first = 1;
+  std::size_t jobs = 1;
+  util::Flags flags{"tevot_cli", kUsage};
+
+  bool parse() const { return flags.parse(argc, argv, first); }
+};
+
+/// Writes `body` to `path` and echoes "wrote <path>". A failure throws
+/// with the path and errno, and main exits 1 (runtime failure).
+void writeFile(const std::string& path, const std::string& body) {
+  check::writeTextFile(path, body);
+  std::printf("wrote %s\n", path.c_str());
 }
 
-bool fuFromName(const std::string& name, circuits::FuKind& kind) {
-  if (name == "int_add") kind = circuits::FuKind::kIntAdd;
-  else if (name == "int_mul") kind = circuits::FuKind::kIntMul;
-  else if (name == "fp_add") kind = circuits::FuKind::kFpAdd;
-  else if (name == "fp_mul") kind = circuits::FuKind::kFpMul;
-  else return false;
-  return true;
+util::ValueParser fuArg(circuits::FuKind* out) {
+  return [out](std::string_view slug) {
+    return circuits::fuFromSlug(slug, out);
+  };
 }
 
-std::uint32_t parseWord(const char* text) {
-  return static_cast<std::uint32_t>(std::strtoul(text, nullptr, 0));
-}
-
-int cmdFuList() {
+int cmdFuList(Cli& cli) {
+  if (!cli.parse()) return cli.flags.usage();
   std::printf("%-8s %8s %8s %7s\n", "fu", "gates", "nets", "depth");
   for (const circuits::FuKind kind : circuits::kAllFus) {
     const netlist::Netlist nl = circuits::buildFu(kind);
@@ -166,15 +178,20 @@ int cmdFuList() {
   return 0;
 }
 
-int cmdExportVerilog(const std::string& fu, const std::string& path) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
+int cmdExportVerilog(Cli& cli) {
+  circuits::FuKind kind{};
+  std::string path;
+  cli.flags.arg("<fu>", fuArg(&kind)).arg("<file.v>", util::text(&path));
+  if (!cli.parse()) return cli.flags.usage();
   netlist::writeVerilogFile(path, circuits::buildFu(kind));
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 
-int cmdExportLib(const std::string& path) {
+int cmdExportLib(Cli& cli) {
+  std::string path;
+  cli.flags.arg("<file.lib>", util::text(&path));
+  if (!cli.parse()) return cli.flags.usage();
   liberty::LibertyLibrary library;
   library.cells = liberty::CellLibrary::defaultLibrary();
   liberty::writeLibertyFile(path, library);
@@ -182,10 +199,21 @@ int cmdExportLib(const std::string& path) {
   return 0;
 }
 
-int cmdSdf(const std::string& fu, double v, double t,
-           const std::string& path) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
+/// Declares the <fu> <V> <T> positionals that sdf, sta and
+/// characterize start with.
+util::Flags& fuCornerArgs(Cli& cli, circuits::FuKind* kind, double* v,
+                          double* t) {
+  return cli.flags.arg("<fu>", fuArg(kind))
+      .arg("<V>", util::finite(v))
+      .arg("<T>", util::finite(t));
+}
+
+int cmdSdf(Cli& cli) {
+  circuits::FuKind kind{};
+  double v = 0.0, t = 0.0;
+  std::string path;
+  fuCornerArgs(cli, &kind, &v, &t).arg("<file.sdf>", util::text(&path));
+  if (!cli.parse()) return cli.flags.usage();
   core::FuContext context(kind);
   sdf::writeSdfFile(path, context.netlist(),
                     context.delaysAt({v, t}));
@@ -193,9 +221,11 @@ int cmdSdf(const std::string& fu, double v, double t,
   return 0;
 }
 
-int cmdSta(const std::string& fu, double v, double t) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
+int cmdSta(Cli& cli) {
+  circuits::FuKind kind{};
+  double v = 0.0, t = 0.0;
+  fuCornerArgs(cli, &kind, &v, &t);
+  if (!cli.parse()) return cli.flags.usage();
   core::FuContext context(kind);
   std::printf("%s @ (%.2f V, %.0f C): critical path %.1f ps\n",
               std::string(circuits::fuName(kind)).c_str(), v, t,
@@ -203,10 +233,15 @@ int cmdSta(const std::string& fu, double v, double t) {
   return 0;
 }
 
-int cmdCharacterize(const std::string& fu, double v, double t,
-                    long cycles, const char* csv_path) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
+int cmdCharacterize(Cli& cli) {
+  circuits::FuKind kind{};
+  double v = 0.0, t = 0.0;
+  long cycles = 0;
+  std::string csv_path;
+  fuCornerArgs(cli, &kind, &v, &t)
+      .arg("<cycles>", util::count(&cycles))
+      .arg("[csv-file]", util::text(&csv_path), util::Flags::Arity::kOptional);
+  if (!cli.parse()) return cli.flags.usage();
   core::FuContext context(kind);
   util::Rng rng(1);
   const auto workload = dta::randomWorkloadFor(
@@ -225,13 +260,8 @@ int cmdCharacterize(const std::string& fu, double v, double t,
                 speedup * 100.0, tclk,
                 100.0 * trace.timingErrorRate(tclk));
   }
-  if (csv_path != nullptr) {
-    std::ofstream csv(csv_path);
-    if (!csv) {
-      std::fprintf(stderr, "cannot open %s: %s\n", csv_path,
-                   std::strerror(errno));
-      return kExitRuntime;
-    }
+  if (!csv_path.empty()) {
+    std::ostringstream csv;
     csv << "cycle,a,b,prev_a,prev_b,delay_ps\n";
     for (std::size_t i = 0; i < trace.samples.size(); ++i) {
       const dta::DtaSample& sample = trace.samples[i];
@@ -239,15 +269,22 @@ int cmdCharacterize(const std::string& fu, double v, double t,
           << sample.prev_a << ',' << sample.prev_b << ','
           << sample.delay_ps << '\n';
     }
-    std::printf("  wrote %s\n", csv_path);
+    check::writeTextFile(csv_path, csv.str());
+    std::printf("  wrote %s\n", csv_path.c_str());
   }
   return 0;
 }
 
-int cmdTrain(const std::string& fu, const std::string& model_path,
-             long cycles, util::ThreadPool& pool) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
+int cmdTrain(Cli& cli) {
+  circuits::FuKind kind{};
+  std::string model_path;
+  long cycles = 1500;
+  cli.flags.arg("<fu>", fuArg(&kind))
+      .arg("<model-file>", util::text(&model_path))
+      .arg("[cycles-per-corner]", util::count(&cycles),
+           util::Flags::Arity::kOptional);
+  if (!cli.parse()) return cli.flags.usage();
+  util::ThreadPool pool(cli.jobs);
   core::FuContext context(kind);
   util::Rng rng(7);
   // Draw every workload sequentially first, so the training data is
@@ -278,22 +315,37 @@ int cmdTrain(const std::string& fu, const std::string& model_path,
   return 0;
 }
 
-int cmdPredict(const std::string& model_path, double v, double t,
-               std::uint32_t a, std::uint32_t b, std::uint32_t prev_a,
-               std::uint32_t prev_b, const char* tclk_text) {
+int cmdPredict(Cli& cli) {
+  std::string model_path;
+  double v = 0.0, t = 0.0, tclk = 0.0;
+  std::uint32_t a = 0, b = 0, prev_a = 0, prev_b = 0;
+  cli.flags.arg("<model-file>", util::text(&model_path))
+      .arg("<V>", util::finite(&v))
+      .arg("<T>", util::finite(&t))
+      .arg("<a>", util::word(&a))
+      .arg("<b>", util::word(&b))
+      .arg("<prev_a>", util::word(&prev_a))
+      .arg("<prev_b>", util::word(&prev_b))
+      .arg("[tclk_ps]", util::positive(&tclk), util::Flags::Arity::kOptional);
+  if (!cli.parse()) return cli.flags.usage();
   const core::TevotModel model = core::TevotModel::load(model_path);
   const double delay =
       model.predictDelay(a, b, prev_a, prev_b, {v, t});
   std::printf("predicted dynamic delay: %.1f ps\n", delay);
-  if (tclk_text != nullptr) {
-    const double tclk = std::atof(tclk_text);
+  if (tclk > 0.0) {
     std::printf("at tclk = %.1f ps: %s\n", tclk,
                 delay > tclk ? "TIMING ERROR" : "timing correct");
   }
   return 0;
 }
 
-int cmdCheck(int n_seeds, std::uint64_t base_seed) {
+int cmdCheck(Cli& cli) {
+  int n_seeds = 25;
+  std::uint64_t base_seed = check::kDefaultSeedBase;
+  cli.flags
+      .arg("[n-seeds]", util::count(&n_seeds), util::Flags::Arity::kOptional)
+      .option("--seed", util::seed(&base_seed));
+  if (!cli.parse()) return cli.flags.usage();
   // One context per FU so the per-corner delay caches are shared
   // across seeds (FuContext holds a mutex, hence the unique_ptrs).
   std::vector<std::unique_ptr<core::FuContext>> contexts;
@@ -354,7 +406,7 @@ int cmdCheck(int n_seeds, std::uint64_t base_seed) {
   return ok ? kExitOk : kExitCheckFailed;
 }
 
-int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
+int cmdLint(Cli& cli) {
   std::vector<circuits::FuKind> kinds;
   bool all = false;
   std::string waiver_path;
@@ -362,56 +414,28 @@ int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
   std::string sdf_path;
   double budget_ps = 0.0;
   int grid_v = 3, grid_t = 3;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "lint: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--all") {
-      all = true;
-    } else if (arg == "--waivers") {
-      const char* v = value("--waivers");
-      if (v == nullptr) return usage();
-      waiver_path = v;
-    } else if (arg == "--json") {
-      const char* v = value("--json");
-      if (v == nullptr) return usage();
-      json_path = v;
-    } else if (arg == "--sdf") {
-      const char* v = value("--sdf");
-      if (v == nullptr) return usage();
-      sdf_path = v;
-    } else if (arg == "--budget") {
-      const char* v = value("--budget");
-      if (v == nullptr) return usage();
-      budget_ps = std::atof(v);
-      if (budget_ps <= 0.0) return usage();
-    } else if (arg == "--grid") {
-      const char* v = value("--grid");
-      if (v == nullptr || std::sscanf(v, "%dx%d", &grid_v, &grid_t) != 2 ||
-          grid_v < 1 || grid_t < 1) {
-        return usage();
-      }
-    } else {
-      circuits::FuKind kind;
-      if (!fuFromName(arg, kind)) return usage();
-      kinds.push_back(kind);
-    }
-  }
-  if (all) {
-    if (!kinds.empty()) return usage();
-    kinds.assign(circuits::kAllFus.begin(), circuits::kAllFus.end());
-  }
-  if (kinds.empty()) return usage();
+  circuits::FuKind kind{};
+  cli.flags.flag("--all", &all)
+      .option("--waivers", util::text(&waiver_path))
+      .option("--json", util::text(&json_path))
+      .option("--sdf", util::text(&sdf_path))
+      .option("--budget", util::positive(&budget_ps))
+      .option("--grid", util::grid(&grid_v, &grid_t))
+      .arg("<fu>",
+           [&](std::string_view slug) {
+             if (!circuits::fuFromSlug(slug, &kind)) return false;
+             kinds.push_back(kind);
+             return true;
+           },
+           util::Flags::Arity::kAny);
+  if (!cli.parse() || all == !kinds.empty()) return cli.flags.usage();
+  if (all) kinds.assign(circuits::kAllFus.begin(), circuits::kAllFus.end());
   if (!sdf_path.empty() && kinds.size() != 1) {
     std::fprintf(stderr, "lint: --sdf applies to a single fu\n");
-    return usage();
+    return cli.flags.usage();
   }
 
+  util::ThreadPool pool(cli.jobs);
   const liberty::CellLibrary library = liberty::CellLibrary::defaultLibrary();
   const liberty::VtModel vt_model;
   const std::vector<liberty::Corner> corners =
@@ -477,19 +501,7 @@ int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
   if (json_path == "-") {
     std::printf("%s", json.c_str());
   } else if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::fprintf(stderr, "lint: cannot open %s: %s\n", json_path.c_str(),
-                   std::strerror(errno));
-      return kExitRuntime;
-    }
-    os << json;
-    if (!os.flush()) {
-      std::fprintf(stderr, "lint: cannot write %s: %s\n", json_path.c_str(),
-                   std::strerror(errno));
-      return kExitRuntime;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+    writeFile(json_path, json);
   }
   return clean ? kExitOk : kExitCheckFailed;
 }
@@ -504,72 +516,29 @@ std::string cornerSlug(const liberty::Corner& corner) {
   return buf;
 }
 
-int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
-  // Positional: fu, cycles-per-corner. Everything else is flags.
-  std::string fu;
-  long cycles = -1;
+int cmdSweep(Cli& cli) {
+  circuits::FuKind kind{};
+  long cycles = 0;
   int grid_v = 3, grid_t = 3;
   std::uint64_t seed = 7;
   std::string report_path;
   dta::SweepOptions options;
   options.faults = &util::FaultInjector::global();
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "sweep: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      const char* v = value("--out");
-      if (v == nullptr) return usage();
-      options.checkpoint_dir = v;
-    } else if (arg == "--grid") {
-      const char* v = value("--grid");
-      if (v == nullptr || std::sscanf(v, "%dx%d", &grid_v, &grid_t) != 2 ||
-          grid_v < 1 || grid_t < 1) {
-        return usage();
-      }
-    } else if (arg == "--seed") {
-      const char* v = value("--seed");
-      if (v == nullptr) return usage();
-      seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--max-retries") {
-      const char* v = value("--max-retries");
-      if (v == nullptr) return usage();
-      options.max_retries = static_cast<int>(std::atol(v));
-      if (options.max_retries < 0) return usage();
-    } else if (arg == "--backoff-ms") {
-      const char* v = value("--backoff-ms");
-      if (v == nullptr) return usage();
-      options.backoff_ms = std::atof(v);
-    } else if (arg == "--job-deadline") {
-      const char* v = value("--job-deadline");
-      if (v == nullptr) return usage();
-      options.job_deadline_ms = std::atof(v);
-    } else if (arg == "--fail-fast") {
-      options.fail_fast = true;
-    } else if (arg == "--report") {
-      const char* v = value("--report");
-      if (v == nullptr) return usage();
-      report_path = v;
-    } else if (fu.empty()) {
-      fu = arg;
-    } else if (cycles < 0) {
-      cycles = std::atol(arg.c_str());
-    } else {
-      return usage();
-    }
-  }
-  circuits::FuKind kind;
-  if (fu.empty() || cycles < 2 || !fuFromName(fu, kind)) return usage();
+  cli.flags.arg("<fu>", fuArg(&kind))
+      .arg("<cycles-per-corner>", util::inRange(&cycles, 2L))
+      .option("--out", util::text(&options.checkpoint_dir))
+      .option("--grid", util::grid(&grid_v, &grid_t))
+      .option("--seed", util::seed(&seed))
+      .flag("--resume", &options.resume)
+      .option("--max-retries", util::inRange(&options.max_retries, 0))
+      .option("--backoff-ms", util::nonNegative(&options.backoff_ms))
+      .option("--job-deadline", util::nonNegative(&options.job_deadline_ms))
+      .flag("--fail-fast", &options.fail_fast)
+      .option("--report", util::text(&report_path));
+  if (!cli.parse()) return cli.flags.usage();
   if (options.resume && options.checkpoint_dir.empty()) {
     std::fprintf(stderr, "sweep: --resume requires --out\n");
-    return usage();
+    return cli.flags.usage();
   }
 
   if (options.faults->armed()) {
@@ -583,6 +552,7 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
   util::SignalFlag stop{SIGINT, SIGTERM};
   options.stop_requested = [&stop] { return stop.raised(); };
 
+  util::ThreadPool pool(cli.jobs);
   core::FuContext context(kind);
   const auto corners =
       core::OperatingGrid::paper().subsampled(grid_v, grid_t);
@@ -600,22 +570,14 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
   for (std::size_t c = 0; c < corners.size(); ++c) {
     dta::CharacterizeJob job =
         context.characterizeJob(corners[c], workloads[c]);
-    job.name = fu + "_" + cornerSlug(corners[c]);
+    job.name = std::string(circuits::fuSlug(kind)) + "_" +
+               cornerSlug(corners[c]);
     jobs.push_back(std::move(job));
   }
 
   const dta::SweepResult result = dta::runSweep(jobs, pool, options);
   std::printf("%s", result.report.toText().c_str());
-  if (!report_path.empty()) {
-    std::ofstream report(report_path);
-    if (!report) {
-      std::fprintf(stderr, "sweep: cannot open %s: %s\n",
-                   report_path.c_str(), std::strerror(errno));
-      return kExitRuntime;
-    }
-    report << result.report.toText();
-    std::printf("wrote %s\n", report_path.c_str());
-  }
+  if (!report_path.empty()) writeFile(report_path, result.report.toText());
   if (stop.raised()) {
     std::printf(
         "sweep interrupted by signal %d; completed corners are "
@@ -631,7 +593,7 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
 // verify-model: interval certification over a trained model's whole
 // feature domain (MV rule catalog, DESIGN.md §5h). Exit taxonomy
 // matches lint: 0 clean, 3 unwaived error findings, 1/2 runtime/usage.
-int cmdVerifyModel(int argc, char** argv) {
+int cmdVerifyModel(Cli& cli) {
   std::string model_path;
   std::string waiver_path;
   std::string json_path;
@@ -639,54 +601,17 @@ int cmdVerifyModel(int argc, char** argv) {
   double tclk_ps = 0.0;
   long refine_budget = 4096;
   int grid_v = 0, grid_t = 0;  // 0 = the full paper grid corner set
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "verify-model: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--tclk") {
-      const char* v = value("--tclk");
-      if (v == nullptr) return usage();
-      tclk_ps = std::atof(v);
-      if (tclk_ps <= 0.0) return usage();
-    } else if (arg == "--refine-budget") {
-      const char* v = value("--refine-budget");
-      if (v == nullptr) return usage();
-      refine_budget = std::atol(v);
-      if (refine_budget < 1) return usage();
-    } else if (arg == "--waivers") {
-      const char* v = value("--waivers");
-      if (v == nullptr) return usage();
-      waiver_path = v;
-    } else if (arg == "--json") {
-      const char* v = value("--json");
-      if (v == nullptr) return usage();
-      json_path = v;
-    } else if (arg == "--cert") {
-      const char* v = value("--cert");
-      if (v == nullptr) return usage();
-      cert_path = v;
-    } else if (arg == "--grid") {
-      const char* v = value("--grid");
-      if (v == nullptr ||
-          std::sscanf(v, "%dx%d", &grid_v, &grid_t) != 2 || grid_v < 1 ||
-          grid_t < 1) {
-        return usage();
-      }
-    } else if (model_path.empty() && arg[0] != '-') {
-      model_path = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (model_path.empty()) return usage();
+  cli.flags.arg("<model-file>", util::text(&model_path))
+      .option("--tclk", util::positive(&tclk_ps))
+      .option("--refine-budget", util::count(&refine_budget))
+      .option("--waivers", util::text(&waiver_path))
+      .option("--json", util::text(&json_path))
+      .option("--cert", util::text(&cert_path))
+      .option("--grid", util::grid(&grid_v, &grid_t));
+  if (!cli.parse()) return cli.flags.usage();
   if (!cert_path.empty() && tclk_ps <= 0.0) {
     std::fprintf(stderr, "verify-model: --cert requires --tclk\n");
-    return usage();
+    return cli.flags.usage();
   }
 
   const core::TevotModel model = core::TevotModel::load(model_path);
@@ -714,82 +639,32 @@ int cmdVerifyModel(int argc, char** argv) {
                 cert.certified ? "CERTIFIED" : "NOT CERTIFIED");
   }
 
-  const auto write_file = [](const std::string& path,
-                             const std::string& body,
-                             const char* what) -> bool {
-    std::ofstream os(path);
-    if (os) {
-      os << body;
-      os.flush();
-    }
-    if (!os) {
-      std::fprintf(stderr, "verify-model: cannot write %s %s: %s\n", what,
-                   path.c_str(), std::strerror(errno));
-      return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  };
   if (json_path == "-") {
     std::printf("%s\n", result.report.toJson().c_str());
   } else if (!json_path.empty()) {
-    if (!write_file(json_path, result.report.toJson() + "\n", "report")) {
-      return kExitRuntime;
-    }
+    writeFile(json_path, result.report.toJson() + "\n");
   }
-  if (!cert_path.empty() &&
-      !write_file(cert_path, cert.toJson() + "\n", "certificate")) {
-    return kExitRuntime;
-  }
+  if (!cert_path.empty()) writeFile(cert_path, cert.toJson() + "\n");
   return result.report.clean() ? kExitOk : kExitCheckFailed;
 }
 
-int cmdServeCheck(int argc, char** argv) {
-  int port = -1;
+int cmdServeCheck(Cli& cli) {
+  int port = 0;
   std::string model_path;
-  std::string fu;
+  circuits::FuKind kind{};
   check::ServeDriveOptions options;
   std::uint64_t seed = 1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "serve-check: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--clients") {
-      const char* v = value("--clients");
-      if (v == nullptr) return usage();
-      options.clients = static_cast<int>(std::atol(v));
-    } else if (arg == "--requests") {
-      const char* v = value("--requests");
-      if (v == nullptr) return usage();
-      options.requests_per_client = static_cast<int>(std::atol(v));
-    } else if (arg == "--seed") {
-      const char* v = value("--seed");
-      if (v == nullptr) return usage();
-      seed = std::strtoull(v, nullptr, 0);
-    } else if (port < 0) {
-      port = static_cast<int>(std::atol(arg.c_str()));
-    } else if (model_path.empty()) {
-      model_path = arg;
-    } else if (fu.empty()) {
-      fu = arg;
-    } else {
-      return usage();
-    }
-  }
-  circuits::FuKind kind;
-  if (port <= 0 || port > 65535 || model_path.empty() || fu.empty() ||
-      !fuFromName(fu, kind) || options.clients < 1 ||
-      options.requests_per_client < 1) {
-    return usage();
-  }
+  cli.flags.arg("<port>", util::port(&port, 1))
+      .arg("<model-file>", util::text(&model_path))
+      .arg("<fu>", fuArg(&kind))
+      .option("--clients", util::count(&options.clients))
+      .option("--requests", util::count(&options.requests_per_client))
+      .option("--seed", util::seed(&seed));
+  if (!cli.parse()) return cli.flags.usage();
   const core::TevotModel reference = core::TevotModel::load(model_path);
   try {
-    check::driveAndVerifyServer(reference, fu, port, seed, options);
+    check::driveAndVerifyServer(reference, std::string(circuits::fuSlug(kind)),
+                                port, seed, options);
   } catch (const check::PropertyViolation& violation) {
     std::fprintf(stderr, "serve-check: FAIL: %s\n", violation.what());
     return kExitCheckFailed;
@@ -803,80 +678,36 @@ int cmdServeCheck(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip the global --jobs option (also honors TEVOT_JOBS) before
-  // command dispatch so it can appear anywhere on the line.
-  std::size_t jobs = 1;
-  if (const char* env = std::getenv("TEVOT_JOBS")) {
-    jobs = static_cast<std::size_t>(std::atol(env));
+  Cli cli{argc, argv};
+  const std::string env_jobs = util::envString("TEVOT_JOBS", "");
+  if (!env_jobs.empty() && !util::jobs(&cli.jobs)(env_jobs)) {
+    std::fprintf(stderr, "tevot_cli: bad value for TEVOT_JOBS: '%s'\n",
+                 env_jobs.c_str());
+    return cli.flags.usage();
   }
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (i > 0 && std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = static_cast<std::size_t>(std::atol(argv[i] + 7));
-    } else {
-      args.push_back(argv[i]);
-    }
+  // --jobs may come before the command; every command accepts it too.
+  cli.flags.option("--jobs", util::jobs(&cli.jobs));
+  int at = argc;
+  if (!cli.flags.parse(argc, argv, 1, &at) || at == argc) {
+    return cli.flags.usage();
   }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
+  cli.first = at + 1;
+  const std::pair<std::string_view, int (*)(Cli&)> commands[] = {
+      {"fu-list", cmdFuList},           {"export-verilog", cmdExportVerilog},
+      {"export-lib", cmdExportLib},     {"sdf", cmdSdf},
+      {"sta", cmdSta},                  {"characterize", cmdCharacterize},
+      {"train", cmdTrain},              {"predict", cmdPredict},
+      {"check", cmdCheck},              {"sweep", cmdSweep},
+      {"lint", cmdLint},                {"verify-model", cmdVerifyModel},
+      {"serve-check", cmdServeCheck},
+  };
   try {
-    util::ThreadPool pool(jobs);
-    if (command == "fu-list" && argc == 2) return cmdFuList();
-    if (command == "export-verilog" && argc == 4) {
-      return cmdExportVerilog(argv[2], argv[3]);
+    for (const auto& [name, run] : commands) {
+      if (name == argv[at]) return run(cli);
     }
-    if (command == "export-lib" && argc == 3) return cmdExportLib(argv[2]);
-    if (command == "sdf" && argc == 6) {
-      return cmdSdf(argv[2], std::atof(argv[3]), std::atof(argv[4]),
-                    argv[5]);
-    }
-    if (command == "sta" && argc == 5) {
-      return cmdSta(argv[2], std::atof(argv[3]), std::atof(argv[4]));
-    }
-    if (command == "characterize" && (argc == 6 || argc == 7)) {
-      return cmdCharacterize(argv[2], std::atof(argv[3]),
-                             std::atof(argv[4]), std::atol(argv[5]),
-                             argc == 7 ? argv[6] : nullptr);
-    }
-    if (command == "train" && (argc == 4 || argc == 5)) {
-      return cmdTrain(argv[2], argv[3],
-                      argc == 5 ? std::atol(argv[4]) : 1500, pool);
-    }
-    if (command == "predict" && (argc == 9 || argc == 10)) {
-      return cmdPredict(argv[2], std::atof(argv[3]), std::atof(argv[4]),
-                        parseWord(argv[5]), parseWord(argv[6]),
-                        parseWord(argv[7]), parseWord(argv[8]),
-                        argc == 10 ? argv[9] : nullptr);
-    }
-    if (command == "check") {
-      int n_seeds = 25;
-      std::uint64_t base_seed = check::kDefaultSeedBase;
-      bool parsed = true;
-      bool have_count = false;
-      for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          base_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!have_count) {
-          n_seeds = static_cast<int>(std::atol(argv[i]));
-          have_count = true;
-        } else {
-          parsed = false;
-        }
-      }
-      if (parsed && n_seeds > 0) return cmdCheck(n_seeds, base_seed);
-      return usage();
-    }
-    if (command == "sweep") return cmdSweep(argc, argv, pool);
-    if (command == "lint") return cmdLint(argc, argv, pool);
-    if (command == "verify-model") return cmdVerifyModel(argc, argv);
-    if (command == "serve-check") return cmdServeCheck(argc, argv);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "tevot_cli: %s\n", error.what());
     return kExitRuntime;
   }
-  return usage();
+  return cli.flags.usage();
 }

@@ -25,17 +25,22 @@
 // additionally requires --jobs 1.
 //
 // Exit codes: 0 adaptive clocking ran with zero unrecovered
-// violations, 1 runtime failure (no FU could run), 2 usage error,
-// 3 unrecovered violations (escapes) remain after recovery.
+// violations, 1 runtime failure (no FU could run), 2 usage error
+// (including a malformed or out-of-range value: the port 1..65535,
+// --cycles >= 2, --window >= 1, --jobs 0..util::kMaxJobs, --guardband,
+// --hysteresis and --deadline-ms finite and >= 0), 3 unrecovered
+// violations (escapes) remain after recovery.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dvfs/run.hpp"
 #include "tevot/model.hpp"
+#include "util/flags.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/certificate_io.hpp"
@@ -46,43 +51,38 @@ using namespace tevot;
 
 constexpr int kExitOk = 0;
 constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
 constexpr int kExitEscapes = 3;
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: tevot_dvfs --cert-dir DIR (--model-dir DIR | "
-      "--serve-port P)\n"
-      "                  [--fus a,b,...|--all] [--cycles N] [--window N]\n"
-      "                  [--seed N] [--guardband F] [--hysteresis F]\n"
-      "                  [--escape-budget N] [--deadline-ms MS]\n"
-      "                  [--jobs N] [--json PATH] [--trace-dir DIR]\n"
-      "                  [--label TEXT]\n");
-  return kExitUsage;
-}
+const std::string kUsage =
+    "usage: tevot_dvfs --cert-dir DIR (--model-dir DIR | --serve-port P)\n"
+    "                  [--fus a,b,...|--all] [--cycles N] [--window N]\n"
+    "                  [--seed N] [--guardband F] [--hysteresis F]\n"
+    "                  [--escape-budget N] [--deadline-ms MS]\n"
+    "                  [--jobs N] [--json PATH] [--trace-dir DIR]\n"
+    "                  [--label TEXT]\n"
+    "P in 1..65535, --cycles >= 2, other N >= 1 (--escape-budget >= 0,\n"
+    "--jobs 0.." + std::to_string(util::kMaxJobs) +
+    " with 0 = hardware threads), F and MS finite and >= 0,\n"
+    "seed N decimal, 0x hex or 0 octal\n";
 
-bool fuFromSlug(const std::string& slug, circuits::FuKind* out) {
-  for (const circuits::FuKind kind : circuits::kAllFus) {
-    if (slug == circuits::fuSlug(kind)) {
-      *out = kind;
-      return true;
+/// "a,b,..." -> the named units; empty segments are skipped, an
+/// unknown name or an empty list refuses the value.
+util::ValueParser fuList(std::vector<circuits::FuKind>* out) {
+  return [out](std::string_view text) {
+    std::vector<circuits::FuKind> kinds;
+    while (!text.empty()) {
+      const std::size_t comma = std::min(text.find(','), text.size());
+      circuits::FuKind kind{};
+      if (comma > 0) {
+        if (!circuits::fuFromSlug(text.substr(0, comma), &kind)) return false;
+        kinds.push_back(kind);
+      }
+      text.remove_prefix(std::min(comma + 1, text.size()));
     }
-  }
-  return false;
-}
-
-std::vector<std::string> splitList(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
+    if (kinds.empty()) return false;
+    *out = std::move(kinds);
+    return true;
+  };
 }
 
 }  // namespace
@@ -93,106 +93,52 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string trace_dir;
   std::string label = "default";
-  std::vector<std::string> fu_slugs = {"int_add"};
+  std::vector<circuits::FuKind> kinds = {circuits::FuKind::kIntAdd};
   dvfs::RunOptions options;
   std::size_t jobs = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_dvfs: %s needs a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--model-dir") {
-      if ((v = value()) == nullptr) return usage();
-      model_dir = v;
-    } else if (arg == "--cert-dir") {
-      if ((v = value()) == nullptr) return usage();
-      cert_dir = v;
-    } else if (arg == "--serve-port") {
-      if ((v = value()) == nullptr) return usage();
-      options.serve_port = static_cast<int>(std::atol(v));
-      if (options.serve_port <= 0 || options.serve_port > 65535) {
-        return usage();
-      }
-    } else if (arg == "--fus") {
-      if ((v = value()) == nullptr) return usage();
-      fu_slugs = splitList(v);
-      if (fu_slugs.empty()) return usage();
-    } else if (arg == "--all") {
-      fu_slugs.clear();
-      for (const circuits::FuKind kind : circuits::kAllFus) {
-        fu_slugs.emplace_back(circuits::fuSlug(kind));
-      }
-    } else if (arg == "--cycles") {
-      if ((v = value()) == nullptr) return usage();
-      options.stream.cycles = static_cast<std::size_t>(std::atoll(v));
-      if (options.stream.cycles < 2) return usage();
-    } else if (arg == "--window") {
-      if ((v = value()) == nullptr) return usage();
-      options.stream.window = static_cast<std::size_t>(std::atoll(v));
-      if (options.stream.window == 0) return usage();
-    } else if (arg == "--seed") {
-      if ((v = value()) == nullptr) return usage();
-      options.stream.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--guardband") {
-      if ((v = value()) == nullptr) return usage();
-      options.controller.guardband = std::atof(v);
-      if (options.controller.guardband < 0.0) return usage();
-    } else if (arg == "--hysteresis") {
-      if ((v = value()) == nullptr) return usage();
-      options.controller.hysteresis = std::atof(v);
-      if (options.controller.hysteresis < 0.0) return usage();
-    } else if (arg == "--escape-budget") {
-      if ((v = value()) == nullptr) return usage();
-      options.controller.escape_budget =
-          static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.deadline_ms = std::atof(v);
-      if (options.deadline_ms < 0.0) return usage();
-    } else if (arg == "--jobs") {
-      if ((v = value()) == nullptr) return usage();
-      jobs = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--json") {
-      if ((v = value()) == nullptr) return usage();
-      json_path = v;
-    } else if (arg == "--trace-dir") {
-      if ((v = value()) == nullptr) return usage();
-      trace_dir = v;
-    } else if (arg == "--label") {
-      if ((v = value()) == nullptr) return usage();
-      label = v;
-    } else {
-      std::fprintf(stderr, "tevot_dvfs: unknown option %s\n", arg.c_str());
-      return usage();
-    }
-  }
+  util::Flags flags("tevot_dvfs", kUsage);
+  flags.option("--model-dir", util::text(&model_dir))
+      .option("--cert-dir", util::text(&cert_dir))
+      .option("--serve-port", util::port(&options.serve_port, 1))
+      .option("--fus", fuList(&kinds))
+      .flag("--all",
+            [&] {
+              kinds.assign(circuits::kAllFus.begin(), circuits::kAllFus.end());
+            })
+      .option("--cycles", util::inRange<std::size_t>(&options.stream.cycles, 2))
+      .option("--window", util::count(&options.stream.window))
+      .option("--seed", util::seed(&options.stream.seed))
+      .option("--guardband", util::nonNegative(&options.controller.guardband))
+      .option("--hysteresis",
+              util::nonNegative(&options.controller.hysteresis))
+      .option("--escape-budget", util::inRange<std::uint64_t>(
+                                     &options.controller.escape_budget, 0))
+      .option("--deadline-ms", util::nonNegative(&options.deadline_ms))
+      .option("--jobs", util::jobs(&jobs))
+      .option("--json", util::text(&json_path))
+      .option("--trace-dir", util::text(&trace_dir))
+      .option("--label", util::text(&label));
+  if (!flags.parse(argc, argv)) return flags.usage();
   if (cert_dir.empty()) {
     std::fprintf(stderr, "tevot_dvfs: --cert-dir is required\n");
-    return usage();
+    return flags.usage();
   }
   if (model_dir.empty() && options.serve_port == 0) {
     std::fprintf(stderr,
                  "tevot_dvfs: need --model-dir (in-process) or "
                  "--serve-port (live)\n");
-    return usage();
+    return flags.usage();
   }
 
   // Build the per-FU setups. Model-load failures in in-process mode
   // and certificate problems both degrade to a per-FU refusal.
   std::vector<dvfs::FuSetup> fus;
   std::vector<std::unique_ptr<core::TevotModel>> models;
-  for (const std::string& slug : fu_slugs) {
+  for (const circuits::FuKind kind : kinds) {
+    const std::string slug(circuits::fuSlug(kind));
     dvfs::FuSetup setup;
-    if (!fuFromSlug(slug, &setup.kind)) {
-      std::fprintf(stderr, "tevot_dvfs: unknown fu '%s'\n", slug.c_str());
-      return usage();
-    }
+    setup.kind = kind;
     setup.cert_status = verify::loadCertificateFile(
         cert_dir + "/" + slug + ".cert.json", &setup.cert);
     if (options.serve_port == 0) {

@@ -9,36 +9,25 @@
 // Regenerate (and review the diff!) only when a timing-relevant change
 // is intentional; CI runs the --check mode.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 
 #include "check/golden.hpp"
+#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
-  bool check_mode = false;
-  const char* dir = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check_mode = true;
-    } else if (dir == nullptr) {
-      dir = argv[i];
-    } else {
-      dir = nullptr;
-      break;
-    }
-  }
-  if (dir == nullptr) {
-    std::fprintf(stderr, "usage: tevot_goldens <golden-dir> [--check]\n");
-    return 2;
-  }
-
   using namespace tevot;
+  bool check_mode = false;
+  std::string dir;
+  util::Flags flags("tevot_goldens",
+                    "usage: tevot_goldens <golden-dir> [--check]\n");
+  flags.flag("--check", &check_mode).arg("<golden-dir>", util::text(&dir));
+  if (!flags.parse(argc, argv)) return flags.usage();
+
   bool ok = true;
   try {
     for (const check::GoldenSpec& spec : check::defaultGoldenSpecs()) {
-      const std::string path =
-          std::string(dir) + "/" + check::goldenFileName(spec);
+      const std::string path = dir + "/" + check::goldenFileName(spec);
       const std::string actual = check::renderGoldenTrace(spec);
       if (!check_mode) {
         check::writeTextFile(path, actual);
@@ -70,7 +59,7 @@ int main(int argc, char** argv) {
   if (check_mode && !ok) {
     std::printf("golden traces drifted; regenerate with "
                 "`tevot_goldens %s` only if the change is intended\n",
-                dir);
+                dir.c_str());
   }
   return ok ? 0 : 1;
 }

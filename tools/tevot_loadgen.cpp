@@ -17,35 +17,33 @@
 //
 // Exit codes: 0 storm completed (server answers, however degraded,
 // are data, not failures), 1 nothing was ever answered, 2 usage
-// error, 130 interrupted. SIGINT/SIGTERM stop the storm
-// cooperatively: in-flight requests finish, the partial report is
-// still printed — and flushed to --json with "interrupted": 1 — so a
-// cut-short run leaves valid, classified data instead of nothing.
+// error (including a malformed or out-of-range value: the port
+// 1..65535, counts >= 1, seconds and milliseconds finite and >= 0,
+// the rate finite and > 0, fractions in [0, 1]), 130 interrupted.
+// SIGINT/SIGTERM stop the storm cooperatively: in-flight requests
+// finish, the partial report is still printed — and flushed to --json
+// with "interrupted": 1 — so a cut-short run leaves valid, classified
+// data instead of nothing.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "fleet/loadgen.hpp"
+#include "util/flags.hpp"
 #include "util/signal.hpp"
 
-namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: tevot_loadgen --port P [--fu NAME] [--duration-s S]\n"
-      "                     [--rate-qps Q]\n"
-      "                     [--arrival poisson|uniform|bursty]\n"
-      "                     [--connections N] [--batch-fraction F]\n"
-      "                     [--batch-tuples N] [--malformed-fraction F]\n"
-      "                     [--deadline-ms MS] [--seed N] [--label TEXT]\n"
-      "                     [--json PATH]\n");
-  return 2;
-}
-
-}  // namespace
+constexpr char kUsage[] =
+    "usage: tevot_loadgen --port P [--fu NAME] [--duration-s S]\n"
+    "                     [--rate-qps Q]\n"
+    "                     [--arrival poisson|uniform|bursty]\n"
+    "                     [--connections N] [--batch-fraction F]\n"
+    "                     [--batch-tuples N] [--malformed-fraction F]\n"
+    "                     [--deadline-ms MS] [--seed N] [--label TEXT]\n"
+    "                     [--json PATH]\n"
+    "P in 1..65535, N >= 1, S and MS finite and >= 0, Q finite and\n"
+    "> 0, F in [0, 1], seed N decimal, 0x hex or 0 octal\n";
 
 int main(int argc, char** argv) {
   using namespace tevot;
@@ -53,66 +51,25 @@ int main(int argc, char** argv) {
   fleet::LoadgenOptions options;
   std::string label = "default";
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_loadgen: %s needs a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--port") {
-      if ((v = value()) == nullptr) return usage();
-      options.port = static_cast<int>(std::atol(v));
-      if (options.port <= 0 || options.port > 65535) return usage();
-    } else if (arg == "--fu") {
-      if ((v = value()) == nullptr) return usage();
-      options.fu = v;
-    } else if (arg == "--duration-s") {
-      if ((v = value()) == nullptr) return usage();
-      options.duration_s = std::atof(v);
-    } else if (arg == "--rate-qps") {
-      if ((v = value()) == nullptr) return usage();
-      options.rate_qps = std::atof(v);
-      if (options.rate_qps <= 0.0) return usage();
-    } else if (arg == "--arrival") {
-      if ((v = value()) == nullptr) return usage();
-      if (!fleet::parseArrival(v, &options.arrival)) return usage();
-    } else if (arg == "--connections") {
-      if ((v = value()) == nullptr) return usage();
-      options.connections = static_cast<int>(std::atol(v));
-      if (options.connections <= 0) return usage();
-    } else if (arg == "--batch-fraction") {
-      if ((v = value()) == nullptr) return usage();
-      options.batch_fraction = std::atof(v);
-    } else if (arg == "--batch-tuples") {
-      if ((v = value()) == nullptr) return usage();
-      options.batch_tuples = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--malformed-fraction") {
-      if ((v = value()) == nullptr) return usage();
-      options.malformed_fraction = std::atof(v);
-    } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.deadline_ms = std::atof(v);
-    } else if (arg == "--seed") {
-      if ((v = value()) == nullptr) return usage();
-      options.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--label") {
-      if ((v = value()) == nullptr) return usage();
-      label = v;
-    } else if (arg == "--json") {
-      if ((v = value()) == nullptr) return usage();
-      json_path = v;
-    } else {
-      std::fprintf(stderr, "tevot_loadgen: unknown option %s\n",
-                   arg.c_str());
-      return usage();
-    }
-  }
-  if (options.port == 0) return usage();
+  util::Flags flags("tevot_loadgen", kUsage);
+  flags.option("--port", util::port(&options.port, 1))
+      .option("--fu", util::text(&options.fu))
+      .option("--duration-s", util::nonNegative(&options.duration_s))
+      .option("--rate-qps", util::positive(&options.rate_qps))
+      .option("--arrival",
+              [&](std::string_view v) {
+                return fleet::parseArrival(v, &options.arrival);
+              })
+      .option("--connections", util::count(&options.connections))
+      .option("--batch-fraction", util::fraction(&options.batch_fraction))
+      .option("--batch-tuples", util::count(&options.batch_tuples))
+      .option("--malformed-fraction",
+              util::fraction(&options.malformed_fraction))
+      .option("--deadline-ms", util::nonNegative(&options.deadline_ms))
+      .option("--seed", util::seed(&options.seed))
+      .option("--label", util::text(&label))
+      .option("--json", util::text(&json_path));
+  if (!flags.parse(argc, argv) || options.port == 0) return flags.usage();
 
   util::SignalFlag signals({SIGINT, SIGTERM});
   options.stop = [&signals] { return signals.raised(); };

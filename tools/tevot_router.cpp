@@ -25,33 +25,35 @@
 //   SIGTERM/SIGINT  graceful drain: drain the router, SIGTERM the
 //                   workers, print final stats to stderr, exit 0
 //
-// Exit codes: 0 clean drain, 1 runtime failure, 2 usage error.
+// Exit codes: 0 clean drain, 1 runtime failure, 2 usage error
+// (including a malformed or out-of-range value: counts >= 1,
+// --max-restarts >= 0, the port 0..65535, milliseconds finite and
+// >= 0, --shed-queue-fraction in [0, 1]), before any shard starts.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "fleet/router.hpp"
 #include "fleet/supervisor.hpp"
+#include "util/flags.hpp"
 #include "util/signal.hpp"
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: tevot_router --model-dir DIR --serve-binary PATH\n"
-      "                    [--port P] [--shards N]\n"
-      "                    [--policy replicated|per-fu] [--fus LISTS]\n"
-      "                    [--max-in-flight N] [--deadline-ms MS]\n"
-      "                    [--max-restarts N] [--shed-queue-fraction F]\n"
-      "                    [--health-interval-ms MS]\n"
-      "LISTS: per-fu shard ownership, e.g. \"int_add,int_mul;alu\"\n"
-      "SIGHUP rolls a reload across the fleet; SIGTERM/SIGINT drains\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: tevot_router --model-dir DIR --serve-binary PATH\n"
+    "                    [--port P] [--shards N]\n"
+    "                    [--policy replicated|per-fu] [--fus LISTS]\n"
+    "                    [--max-in-flight N] [--deadline-ms MS]\n"
+    "                    [--max-restarts N] [--shed-queue-fraction F]\n"
+    "                    [--health-interval-ms MS]\n"
+    "N >= 1 (--max-restarts >= 0), P in 0..65535 (0 = ephemeral),\n"
+    "MS finite and >= 0, F in [0, 1]\n"
+    "LISTS: per-fu shard ownership, e.g. \"int_add,int_mul;alu\"\n"
+    "SIGHUP rolls a reload across the fleet; SIGTERM/SIGINT drains\n";
 
 /// "a,b;c" -> {{"a","b"},{"c"}}; empty segments allowed.
 std::vector<std::vector<std::string>> parseFuLists(const std::string& text) {
@@ -77,77 +79,39 @@ int main(int argc, char** argv) {
 
   fleet::SupervisorOptions supervisor_options;
   fleet::RouterOptions router_options;
-  std::string fus_text;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_router: %s needs a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--model-dir") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.model_dir = v;
-    } else if (arg == "--serve-binary") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.serve_binary = v;
-    } else if (arg == "--port") {
-      if ((v = value()) == nullptr) return usage();
-      router_options.port = static_cast<int>(std::atol(v));
-      if (router_options.port < 0 || router_options.port > 65535) {
-        return usage();
-      }
-    } else if (arg == "--shards") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.shards = static_cast<std::size_t>(std::atol(v));
-      if (supervisor_options.shards == 0) return usage();
-    } else if (arg == "--policy") {
-      if ((v = value()) == nullptr) return usage();
-      if (!fleet::parseShardPolicy(v, &router_options.policy)) {
-        return usage();
-      }
-    } else if (arg == "--fus") {
-      if ((v = value()) == nullptr) return usage();
-      fus_text = v;
-    } else if (arg == "--max-in-flight") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.max_in_flight =
-          static_cast<std::size_t>(std::atol(v));
-      if (supervisor_options.max_in_flight == 0) return usage();
-    } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.default_deadline_ms = std::atof(v);
-    } else if (arg == "--max-restarts") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.max_restarts = static_cast<int>(std::atol(v));
-    } else if (arg == "--shed-queue-fraction") {
-      if ((v = value()) == nullptr) return usage();
-      router_options.shed_queue_fraction = std::atof(v);
-    } else if (arg == "--health-interval-ms") {
-      if ((v = value()) == nullptr) return usage();
-      router_options.health_interval_ms = std::atof(v);
-    } else {
-      std::fprintf(stderr, "tevot_router: unknown option %s\n",
-                   arg.c_str());
-      return usage();
-    }
-  }
-  if (supervisor_options.model_dir.empty() ||
+  util::Flags flags("tevot_router", kUsage);
+  flags.option("--model-dir", util::text(&supervisor_options.model_dir))
+      .option("--serve-binary", util::text(&supervisor_options.serve_binary))
+      .option("--port", util::port(&router_options.port))
+      .option("--shards", util::count(&supervisor_options.shards))
+      .option("--policy",
+              [&](std::string_view v) {
+                return fleet::parseShardPolicy(v, &router_options.policy);
+              })
+      .option("--fus",
+              [&](std::string_view v) {
+                supervisor_options.fus = parseFuLists(std::string(v));
+                return true;
+              })
+      .option("--max-in-flight",
+              util::count(&supervisor_options.max_in_flight))
+      .option("--deadline-ms",
+              util::nonNegative(&supervisor_options.default_deadline_ms))
+      .option("--max-restarts",
+              util::inRange(&supervisor_options.max_restarts, 0))
+      .option("--shed-queue-fraction",
+              util::fraction(&router_options.shed_queue_fraction))
+      .option("--health-interval-ms",
+              util::nonNegative(&router_options.health_interval_ms));
+  if (!flags.parse(argc, argv) || supervisor_options.model_dir.empty() ||
       supervisor_options.serve_binary.empty()) {
-    return usage();
+    return flags.usage();
   }
-  if (!fus_text.empty()) {
-    supervisor_options.fus = parseFuLists(fus_text);
-    if (supervisor_options.fus.size() > supervisor_options.shards) {
-      std::fprintf(stderr,
-                   "tevot_router: --fus lists %zu shards, --shards is %zu\n",
-                   supervisor_options.fus.size(), supervisor_options.shards);
-      return usage();
-    }
+  if (supervisor_options.fus.size() > supervisor_options.shards) {
+    std::fprintf(stderr,
+                 "tevot_router: --fus lists %zu shards, --shards is %zu\n",
+                 supervisor_options.fus.size(), supervisor_options.shards);
+    return flags.usage();
   }
 
   util::ignoreSigpipe();

@@ -29,115 +29,44 @@
 // failure), 2 usage error (including a malformed or out-of-range
 // flag value: counts must be >= 1, the port 0..65535, milliseconds
 // finite and >= 0).
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <thread>
 
 #include "serve/server.hpp"
 #include "util/fault_injection.hpp"
+#include "util/flags.hpp"
 #include "util/signal.hpp"
 
-namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: tevot_serve --model-dir DIR [--port P] [--max-in-flight N]\n"
-      "                   [--max-conns N] [--deadline-ms MS]\n"
-      "                   [--breaker-failures N]\n"
-      "                   [--breaker-cooldown-ms MS] [--strict-verify]\n"
-      "DIR: one <fu>.model per served unit (from `tevot_cli train`)\n"
-      "N >= 1, P in 0..65535 (0 = ephemeral), MS finite and >= 0\n"
-      "--strict-verify: refuse models that fail interval certification\n"
-      "  (tevot_cli verify-model) at load and at every reload\n"
-      "SIGHUP reloads models; SIGTERM/SIGINT drains and exits 0\n");
-  return 2;
-}
-
-int badValue(const std::string& flag, const char* value) {
-  std::fprintf(stderr, "tevot_serve: bad value for %s: '%s'\n",
-               flag.c_str(), value);
-  return usage();
-}
-
-/// Parses all of `text` as a T; junk, overflow, a sign on an unsigned
-/// T or trailing bytes fail.
-template <typename T>
-bool parseWhole(const char* text, T* out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-template <typename T>
-bool parseCount(const char* text, T* out) {
-  return parseWhole(text, out) && *out >= 1;
-}
-
-bool parseMillis(const char* text, double* out) {
-  return parseWhole(text, out) && std::isfinite(*out) && *out >= 0.0;
-}
-
-}  // namespace
+constexpr char kUsage[] =
+    "usage: tevot_serve --model-dir DIR [--port P] [--max-in-flight N]\n"
+    "                   [--max-conns N] [--deadline-ms MS]\n"
+    "                   [--breaker-failures N]\n"
+    "                   [--breaker-cooldown-ms MS] [--strict-verify]\n"
+    "DIR: one <fu>.model per served unit (from `tevot_cli train`)\n"
+    "N >= 1, P in 0..65535 (0 = ephemeral), MS finite and >= 0\n"
+    "--strict-verify: refuse models that fail interval certification\n"
+    "  (tevot_cli verify-model) at load and at every reload\n"
+    "SIGHUP reloads models; SIGTERM/SIGINT drains and exits 0\n";
 
 int main(int argc, char** argv) {
   using namespace tevot;
 
   serve::ServerOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_serve: %s needs a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--model-dir") {
-      if ((v = value()) == nullptr) return usage();
-      options.model_dir = v;
-    } else if (arg == "--port") {
-      if ((v = value()) == nullptr) return usage();
-      if (!parseWhole(v, &options.port) || options.port < 0 ||
-          options.port > 65535) {
-        return badValue(arg, v);
-      }
-    } else if (arg == "--max-in-flight") {
-      if ((v = value()) == nullptr) return usage();
-      if (!parseCount(v, &options.max_in_flight)) return badValue(arg, v);
-    } else if (arg == "--max-conns") {
-      if ((v = value()) == nullptr) return usage();
-      if (!parseCount(v, &options.max_connections)) return badValue(arg, v);
-    } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      if (!parseMillis(v, &options.default_deadline_ms)) {
-        return badValue(arg, v);
-      }
-    } else if (arg == "--breaker-failures") {
-      if ((v = value()) == nullptr) return usage();
-      if (!parseCount(v, &options.breaker.failure_threshold)) {
-        return badValue(arg, v);
-      }
-    } else if (arg == "--breaker-cooldown-ms") {
-      if ((v = value()) == nullptr) return usage();
-      if (!parseMillis(v, &options.breaker.cooldown_ms)) {
-        return badValue(arg, v);
-      }
-    } else if (arg == "--strict-verify") {
-      options.strict_verify = true;
-    } else {
-      std::fprintf(stderr, "tevot_serve: unknown option %s\n",
-                   arg.c_str());
-      return usage();
-    }
+  util::Flags flags("tevot_serve", kUsage);
+  flags.option("--model-dir", util::text(&options.model_dir))
+      .option("--port", util::port(&options.port))
+      .option("--max-in-flight", util::count(&options.max_in_flight))
+      .option("--max-conns", util::count(&options.max_connections))
+      .option("--deadline-ms", util::nonNegative(&options.default_deadline_ms))
+      .option("--breaker-failures",
+              util::count(&options.breaker.failure_threshold))
+      .option("--breaker-cooldown-ms",
+              util::nonNegative(&options.breaker.cooldown_ms))
+      .flag("--strict-verify", &options.strict_verify);
+  if (!flags.parse(argc, argv) || options.model_dir.empty()) {
+    return flags.usage();
   }
-  if (options.model_dir.empty()) return usage();
 
   util::ignoreSigpipe();
   // Installed before start() so no signal window exists where a
