@@ -15,13 +15,22 @@
 //
 // Run:  ./guardband_explorer [clock_ps]
 #include <cstdio>
-#include <cstdlib>
 
 #include "tevot/operating_grid.hpp"
 #include "tevot/pipeline.hpp"
+#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace tevot;
+
+  double tclk = 0.0;  // 0: the default clock below
+  util::Flags flags("guardband_explorer",
+                    "usage: guardband_explorer [clock_ps]\n"
+                    "  clock_ps > 0 (default: 5% faster than the "
+                    "error-free clock at 0.93 V)\n");
+  flags.arg("[clock_ps]", util::positive(&tclk),
+            util::Flags::Arity::kOptional);
+  if (!flags.parse(argc, argv)) return flags.usage();
 
   core::FuContext context(circuits::FuKind::kIntMul);
   util::Rng rng(77);
@@ -39,8 +48,7 @@ int main(int argc, char** argv) {
 
   // Target clock: by default 5% faster than the error-free clock at
   // 0.93 V (i.e. safe at nominal, aggressive at low voltage).
-  double tclk = argc > 1 ? std::atof(argv[1]) : 0.0;
-  if (tclk <= 0.0) {
+  if (tclk == 0.0) {
     tclk = dta::speedupClockPs(train_traces[6].baseClockPs(), 0.05);
   }
   std::printf("Guardband exploration for %s at %.0f C, clock %.1f ps\n\n",

@@ -12,20 +12,29 @@
 //
 // Run:  ./image_quality [voltage] [temperature]
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 
 #include "apps/filters.hpp"
 #include "apps/profile.hpp"
 #include "apps/synth_images.hpp"
 #include "tevot/pipeline.hpp"
+#include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tevot;
 
-  const liberty::Corner corner{argc > 1 ? std::atof(argv[1]) : 0.85,
-                               argc > 2 ? std::atof(argv[2]) : 50.0};
+  liberty::Corner corner{0.85, 50.0};
+  util::Flags flags("image_quality",
+                    "usage: image_quality [voltage] [temperature]\n"
+                    "  voltage in V (> 0, default 0.85), temperature in C "
+                    "(default 50)\n");
+  flags.arg("[voltage]", util::positive(&corner.voltage),
+            util::Flags::Arity::kOptional)
+      .arg("[temperature]", util::finite(&corner.temperature),
+           util::Flags::Arity::kOptional);
+  if (!flags.parse(argc, argv)) return flags.usage();
   constexpr circuits::FuKind kFus[] = {circuits::FuKind::kIntAdd,
                                        circuits::FuKind::kIntMul};
 
@@ -112,4 +121,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nImages written to example_out/*.pgm\n");
   return 0;
+} catch (const std::exception& error) {
+  // A voltage at or below the threshold, where no cell can switch.
+  std::fprintf(stderr, "image_quality: %s\n", error.what());
+  return 1;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "util/rng.hpp"
 
@@ -17,14 +18,10 @@ namespace tevot::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using serve::msSince;
 
 constexpr double kBurstCycleMs = 500.0;
 constexpr double kBurstOnFraction = 0.2;
-
-double msSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 /// Next inter-arrival gap [ms] at `rate_per_ms`; exponential for the
 /// Poisson processes, fixed for uniform.

@@ -1,8 +1,10 @@
 // Front router of the TEVoT serving fleet.
 //
 // The router accepts the exact tevot_serve newline protocol on one
-// loopback port and fans predict/predictN requests out over loopback
-// TCP to N worker shards (each a serve::Server with its own ModelSet).
+// loopback port, through the same transport as the server
+// (serve/line_server.hpp), and fans predict/predictN requests out
+// over loopback TCP to N worker shards (each a serve::Server with its
+// own ModelSet).
 // Clients cannot tell a router from a single server: every request
 // line still gets exactly one well-formed typed response (predictN: n
 // lines), and relayed OK lines pass through byte-for-byte, so the
@@ -43,9 +45,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,9 +56,9 @@
 
 #include "serve/breaker.hpp"
 #include "serve/client.hpp"
+#include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "util/fd.hpp"
 #include "util/status.hpp"
 
 namespace tevot::fleet {
@@ -81,14 +81,11 @@ struct RouterOptions {
   /// Front listen port on 127.0.0.1; 0 binds an ephemeral port.
   int port = 0;
   ShardPolicy policy = ShardPolicy::kReplicated;
-  std::size_t max_connections = 64;
   /// Worker stats poll + breaker probe cadence.
   double health_interval_ms = 50.0;
   /// Shed new requests for a shard whose polled queue_depth /
   /// queue_capacity is at or above this fraction.
   double shed_queue_fraction = 0.9;
-  /// Total forward attempts per request (first try included).
-  int forward_attempts = 3;
   /// SO_RCVTIMEO on backend connections: bounds how long a dead or
   /// wedged shard can stall a relay before it degrades to a typed
   /// response. 0 disables the timeout.
@@ -96,10 +93,6 @@ struct RouterOptions {
   /// Per-shard health breaker (probe failures open it).
   serve::BreakerConfig breaker{.failure_threshold = 3,
                                .cooldown_ms = 100.0};
-  /// Budget for drainAndStop() to finish relaying admitted work.
-  double drain_deadline_ms = 2000.0;
-  /// Budget for the per-shard in-flight drain during rollingReload().
-  double reload_drain_ms = 1000.0;
 };
 
 class Router {
@@ -110,11 +103,11 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Binds the front port and starts the acceptor + health threads.
+  /// Binds the front port and starts the transport + health threads.
   util::Status start();
 
   bool running() const { return running_.load(); }
-  int port() const { return bound_port_; }
+  int port() const { return transport_.port(); }
   std::size_t shardCount() const { return shards_.size(); }
 
   /// Router-side accounting: requests == ok+shed+deadline+errors over
@@ -143,14 +136,12 @@ class Router {
   void markShardDown(std::size_t shard);
   void setShardPort(std::size_t shard, int port);
 
-  /// Graceful drain: stop accepting, let in-flight relays finish
-  /// within drain_deadline_ms, join everything. Idempotent. Returns
-  /// the final router-side stats.
+  /// Graceful drain: LineServer::stop(), with lines already read
+  /// answered SHED draining, then the health thread. Idempotent.
+  /// Returns the final router-side stats.
   serve::MetricsSnapshot drainAndStop();
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Shard {
     std::atomic<int> port{0};
     std::vector<std::string> fus;
@@ -178,52 +169,37 @@ class Router {
     serve::LineClient client;
   };
 
-  struct Connection {
-    util::UniqueFd fd;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    /// Cached backend connections, one per shard, owned by this
-    /// client connection's thread (no cross-thread sharing).
-    std::map<std::size_t, BackendConn> backends;
-  };
+  /// Cached backend connections by shard index, one map per client
+  /// connection, used only by that connection's thread.
+  using Backends = std::map<std::size_t, BackendConn>;
 
-  void acceptLoop();
-  void connectionLoop(Connection* connection);
   void healthLoop();
-  void handleLine(Connection* connection, std::string_view line);
+  void handleLine(int fd, Backends& backends, std::string_view line);
   serve::Response handleControl(const serve::Request& request);
   /// Routes one parsed predict/predictN; writes exactly
   /// request.responseCount() lines to the client.
-  void routePredict(Connection* connection, const serve::Request& request,
-                    const std::string& line);
+  void routePredict(int fd, Backends& backends,
+                    const serve::Request& request, const std::string& line);
   /// The next eligible shard for `request`, or npos. `exclude` skips
   /// shards already tried this request (reroute path).
   std::size_t pickShard(const serve::Request& request,
                         const std::vector<bool>& exclude) const;
   bool probeShard(std::size_t index, BackendConn* conn);
-  void writeResponses(Connection* connection,
-                      const std::vector<std::string>& lines);
-  void reapFinishedConnections();
-  static double msSince(Clock::time_point start);
+  void writeResponses(int fd, const std::vector<std::string>& lines);
 
   RouterOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::map<std::string, std::size_t> fu_owner_;  ///< kPerFu routing map
   serve::ServeMetrics metrics_;
 
-  util::UniqueFd listen_fd_;
-  int bound_port_ = 0;
-
-  std::thread acceptor_;
   std::thread health_;
-
-  std::mutex connections_mutex_;
-  std::list<Connection> connections_;
   std::mutex reload_mutex_;  ///< serializes rollingReload()s
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   mutable std::atomic<std::uint64_t> round_robin_{0};
+  /// Last member: its threads call into everything above.
+  serve::LineServer transport_;
 };
 
 }  // namespace tevot::fleet

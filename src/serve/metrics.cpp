@@ -210,6 +210,23 @@ bool parseMetricsLine(std::string_view line, MetricsSnapshot* out) {
   return true;
 }
 
+void ServeMetrics::count(ResponseStatus status) {
+  switch (status) {
+    case ResponseStatus::kOk:
+      ok.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case ResponseStatus::kShed:
+      shed.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case ResponseStatus::kDeadline:
+      deadline.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case ResponseStatus::kError:
+      errors.fetch_add(1, std::memory_order_relaxed);
+      return;
+  }
+}
+
 MetricsSnapshot ServeMetrics::snapshot() const {
   MetricsSnapshot snap;
   snap.connections = connections.load(std::memory_order_relaxed);

@@ -15,14 +15,24 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
 
+#include "serve/protocol.hpp"
 #include "util/stats.hpp"
 
 namespace tevot::serve {
+
+/// Milliseconds on the steady clock since `start`; the unit of every
+/// latency and deadline in the serving layer.
+inline double msSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 struct MetricsSnapshot {
   std::uint64_t connections = 0;
@@ -87,6 +97,8 @@ class ServeMetrics {
   std::atomic<std::uint64_t> reloads{0};
   std::atomic<std::uint64_t> reload_failures{0};
 
+  /// Bumps the ok/shed/deadline/errors counter for one response line.
+  void count(ResponseStatus status);
   void recordLatencyMs(double ms) {
     const std::lock_guard<std::mutex> lock(latency_mutex_);
     latency_.add(ms);

@@ -1,20 +1,20 @@
-// Long-running, multi-threaded TEVoT prediction server.
+// Long-running TEVoT prediction server on the shared loopback
+// transport (serve/line_server.hpp: acceptor, connection cap, one
+// thread per connection, framing, drain).
 //
-// Thread model: one acceptor and one thread per live connection
-// (bounded by max_connections); nothing else. A connection thread
-// reads request lines and computes each one itself before reading the
-// next, so responses are trivially ordered and every request gets
-// exactly one — a predictN batch is answered with exactly n typed
-// lines in tuple order (a shed/expired batch yields n SHED/DEADLINE
-// lines; the metrics invariant requests == ok+shed+deadline+errors
-// counts each tuple as a request). Admission is one atomic counter of
-// predict requests computing right now, across all connections,
-// against max_in_flight (a batch counts once); at the limit the
-// request is answered SHED, never silently dropped. An admitted
-// request predicts against the immutable model snapshot captured at
-// admission (reload atomicity), is checked against its end-to-end
-// deadline before and after compute, and routes through the per-FU
-// circuit breaker.
+// A connection thread computes each request line it reads before
+// reading the next, so responses are trivially ordered and every
+// request gets exactly one — a predictN batch is answered with exactly
+// n typed lines in tuple order (a shed/expired batch yields n
+// SHED/DEADLINE lines; the metrics invariant requests ==
+// ok+shed+deadline+errors counts each tuple as a request). Admission
+// is one atomic counter of predict requests computing right now,
+// across all connections, against max_in_flight (a batch counts
+// once); at the limit the request is answered SHED, never silently
+// dropped. An admitted request predicts against the immutable model
+// snapshot captured at admission (reload atomicity), is checked
+// against its end-to-end deadline before and after compute, and
+// routes through the per-FU circuit breaker.
 //
 // Robustness surface:
 //  * load shedding   in-flight admission limit + connection cap, SHED
@@ -24,9 +24,8 @@
 //  * circuit breaker per model backend; OPEN => typed BREAKER_OPEN
 //  * hot reload      ModelRegistry validate-then-swap (control
 //                    `reload` request; tevot_serve also maps SIGHUP)
-//  * graceful drain  drainAndStop(): stop accepting, let in-flight
-//                    requests finish, shed lines already read with
-//                    SHED draining, join all
+//  * graceful drain  drainAndStop(): the transport's drain, with lines
+//                    already read answered SHED draining
 //  * fault injection serve.accept / serve.parse / serve.predict /
 //                    serve.reload (failures) and serve.slow (delay)
 //                    sites, armed via TEVOT_FAULTS or a
@@ -35,22 +34,18 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <list>
 #include <map>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/breaker.hpp"
+#include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "util/fault_injection.hpp"
-#include "util/fd.hpp"
 
 namespace tevot::serve {
 
@@ -90,7 +85,7 @@ class Server {
 
   bool running() const { return running_.load(); }
   /// The bound port (after start()).
-  int port() const { return bound_port_; }
+  int port() const { return transport_.port(); }
 
   /// Hot reload from the model directory; on failure the previous
   /// models keep serving.
@@ -100,23 +95,16 @@ class Server {
   /// states, generation).
   MetricsSnapshot stats() const;
 
-  /// Graceful drain: stop accepting, let in-flight requests finish,
-  /// answer lines already read with SHED draining, join every thread.
-  /// Idempotent. Returns the final stats snapshot.
+  /// Graceful drain: LineServer::stop(), with lines already read
+  /// answered SHED draining. Idempotent. Returns the final stats
+  /// snapshot.
   MetricsSnapshot drainAndStop();
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Connection {
-    util::UniqueFd fd;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void acceptLoop();
-  void connectionLoop(Connection* connection);
-  void handleLine(Connection* connection, std::string_view line);
+  /// The transport's per-connection callback: the serve.accept fault
+  /// point, then a handler answering on `fd`.
+  LineServer::LineHandler onConnection(int fd);
+  void handleLine(int fd, std::string_view line);
   Response handleControl(const Request& request);
   /// Computes an admitted predict request: one Response per expected
   /// line (request.responseCount() of them); batch predicts run
@@ -125,13 +113,10 @@ class Server {
   std::vector<Response> predict(const Request& request, std::uint64_t id);
   /// Serializes, appends '\n', writes, and bumps the per-status
   /// counter. A failed write (client gone) is not an error.
-  void writeResponse(Connection* connection, const Response& response);
+  void writeResponse(int fd, const Response& response);
   /// writeResponse for every line of a batch, one send() so a batch
   /// answer is never interleaved with another write.
-  void writeResponses(Connection* connection,
-                      std::span<const Response> responses);
-  void reapFinishedConnections();
-  static double msSince(Clock::time_point start);
+  void writeResponses(int fd, std::span<const Response> responses);
 
   ServerOptions options_;
   ModelRegistry registry_;
@@ -139,19 +124,13 @@ class Server {
   util::FaultInjector* faults_ = nullptr;
   std::map<std::string, CircuitBreaker> breakers_;
 
-  util::UniqueFd listen_fd_;
-  int bound_port_ = 0;
-
-  std::thread acceptor_;
-
-  std::mutex connections_mutex_;
-  std::list<Connection> connections_;
-
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> next_request_id_{1};
-  std::atomic<std::uint64_t> next_connection_id_{1};
+  std::uint64_t next_connection_id_ = 1;  ///< acceptor thread only
+  /// Last member: its threads call into everything above.
+  LineServer transport_;
 };
 
 }  // namespace tevot::serve
