@@ -30,29 +30,27 @@ BenchScale BenchScale::fromEnvironment(int argc, char** argv) {
     scale.image_count = 6;
     scale.image_size = 48;
   }
-  const int nv = static_cast<int>(util::envInt("TEVOT_GRID_V", 0));
-  const int nt = static_cast<int>(util::envInt("TEVOT_GRID_T", 0));
-  if (nv > 0 && nt > 0) scale.corners = grid.subsampled(nv, nt);
-  scale.train_cycles_per_corner = static_cast<std::size_t>(util::envInt(
-      "TEVOT_TRAIN_CYCLES",
-      static_cast<long>(scale.train_cycles_per_corner)));
-  scale.test_cycles_per_corner = static_cast<std::size_t>(util::envInt(
-      "TEVOT_TEST_CYCLES", static_cast<long>(scale.test_cycles_per_corner)));
-  scale.app_train_cycles = static_cast<std::size_t>(util::envInt(
-      "TEVOT_APP_TRAIN_CYCLES", static_cast<long>(scale.app_train_cycles)));
-  scale.app_test_cycles = static_cast<std::size_t>(util::envInt(
-      "TEVOT_APP_TEST_CYCLES", static_cast<long>(scale.app_test_cycles)));
-  scale.image_count = static_cast<std::size_t>(util::envInt(
-      "TEVOT_IMAGES", static_cast<long>(scale.image_count)));
-  scale.image_size = static_cast<int>(util::envInt(
-      "TEVOT_IMAGE_SIZE", scale.image_size));
-  scale.jobs = static_cast<std::size_t>(
-      util::envInt("TEVOT_JOBS", static_cast<long>(scale.jobs)));
-  util::Flags flags("bench", "usage: bench [--jobs N]  (N in 0.." +
-                                 std::to_string(util::kMaxJobs) +
-                                 ", 0 = one per hardware thread)\n");
-  flags.option("--jobs", util::jobs(&scale.jobs));
+  int nv = 0, nt = 0;  // 0 keeps the corner set above
+  util::Flags flags(
+      "bench",
+      "usage: bench [--jobs N]  (N in 0.." + std::to_string(util::kMaxJobs) +
+          ", 0 = one per hardware thread)\n"
+          "environment: TEVOT_JOBS as --jobs; TEVOT_GRID_V, TEVOT_GRID_T "
+          ">= 0; TEVOT_TRAIN_CYCLES, TEVOT_TEST_CYCLES,\n"
+          "  TEVOT_APP_TRAIN_CYCLES, TEVOT_APP_TEST_CYCLES, TEVOT_IMAGES, "
+          "TEVOT_IMAGE_SIZE >= 1\n");
+  flags.env("TEVOT_GRID_V", util::inRange(&nv, 0))
+      .env("TEVOT_GRID_T", util::inRange(&nt, 0))
+      .env("TEVOT_TRAIN_CYCLES", util::count(&scale.train_cycles_per_corner))
+      .env("TEVOT_TEST_CYCLES", util::count(&scale.test_cycles_per_corner))
+      .env("TEVOT_APP_TRAIN_CYCLES", util::count(&scale.app_train_cycles))
+      .env("TEVOT_APP_TEST_CYCLES", util::count(&scale.app_test_cycles))
+      .env("TEVOT_IMAGES", util::count(&scale.image_count))
+      .env("TEVOT_IMAGE_SIZE", util::count(&scale.image_size))
+      .env("TEVOT_JOBS", util::jobs(&scale.jobs))
+      .option("--jobs", util::jobs(&scale.jobs));
   if (!flags.parse(argc, argv)) std::exit(flags.usage());
+  if (nv > 0 && nt > 0) scale.corners = grid.subsampled(nv, nt);
   if (scale.jobs == 0) scale.jobs = util::ThreadPool::hardwareThreads();
   return scale;
 }

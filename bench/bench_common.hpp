@@ -12,7 +12,8 @@
 //
 // Scales are reduced by default so the whole bench suite runs in
 // minutes; TEVOT_FULL=1 restores paper-sized sweeps, and the
-// TEVOT_* variables below override individual knobs.
+// TEVOT_* variables read by BenchScale::fromEnvironment override
+// individual knobs (a malformed value is a usage error, exit 2).
 #pragma once
 
 #include <map>

@@ -17,6 +17,7 @@
 //   TEVOT_DVFS_WINDOW        transitions per decision  (default 16)
 //   TEVOT_DVFS_GUARDBAND     guardband x100 (percent)  (default 25)
 //   TEVOT_DVFS_SEED          stream seed               (default 1)
+// A malformed value prints "bad value for <knob>" and exits 2.
 //
 // Window size and guardband trade throughput against replay cost: a
 // violating window replays whole at the certified clock, so the
@@ -36,6 +37,7 @@
 #include "tevot/model.hpp"
 #include "tevot/pipeline.hpp"
 #include "util/fault_injection.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -81,16 +83,24 @@ verify::SafeTclkCertificate makeCertificate(core::FuContext& context) {
 int main(int argc, char** argv) {
   const bench::BenchScale scale =
       bench::BenchScale::fromEnvironment(argc, argv);
-  const auto train_cycles = static_cast<std::size_t>(
-      util::envInt("TEVOT_DVFS_TRAIN_CYCLES", 300));
-  const auto stream_cycles =
-      static_cast<std::size_t>(util::envInt("TEVOT_DVFS_CYCLES", 1025));
-  const auto window =
-      static_cast<std::size_t>(util::envInt("TEVOT_DVFS_WINDOW", 16));
-  const double guardband =
-      static_cast<double>(util::envInt("TEVOT_DVFS_GUARDBAND", 25)) / 100.0;
-  const auto seed =
-      static_cast<std::uint64_t>(util::envInt("TEVOT_DVFS_SEED", 1));
+  std::size_t train_cycles = 300;
+  std::size_t stream_cycles = 1025;
+  std::size_t window = 16;
+  int guardband_percent = 25;
+  std::uint64_t seed = 1;
+  util::Flags knobs(
+      "bench_dvfs_closed_loop",
+      "usage: bench_dvfs_closed_loop [--jobs N]\n"
+      "environment: TEVOT_DVFS_TRAIN_CYCLES, TEVOT_DVFS_CYCLES, "
+      "TEVOT_DVFS_WINDOW >= 1;\n"
+      "  TEVOT_DVFS_GUARDBAND percent >= 0; TEVOT_DVFS_SEED unsigned\n");
+  knobs.env("TEVOT_DVFS_TRAIN_CYCLES", util::count(&train_cycles))
+      .env("TEVOT_DVFS_CYCLES", util::count(&stream_cycles))
+      .env("TEVOT_DVFS_WINDOW", util::count(&window))
+      .env("TEVOT_DVFS_GUARDBAND", util::inRange(&guardband_percent, 0))
+      .env("TEVOT_DVFS_SEED", util::seed(&seed));
+  if (!knobs.parseEnv()) return knobs.usage();
+  const double guardband = static_cast<double>(guardband_percent) / 100.0;
 
   const auto start = Clock::now();
   const std::vector<circuits::FuKind> kinds = {circuits::FuKind::kIntAdd,

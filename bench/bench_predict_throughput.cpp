@@ -38,6 +38,7 @@
 #include "tevot/model.hpp"
 #include "tevot/pipeline.hpp"
 #include "util/fault_injection.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -128,17 +129,25 @@ std::string jsonString(const std::string& text) {
 }  // namespace
 
 int main() {
-  const auto rows =
-      static_cast<std::size_t>(util::envInt("TEVOT_PREDICT_ROWS", 4096));
-  const auto repeat =
-      static_cast<int>(util::envInt("TEVOT_PREDICT_REPEAT", 64));
-  std::size_t threads =
-      static_cast<std::size_t>(util::envInt("TEVOT_PREDICT_THREADS", 0));
+  std::size_t rows = 4096;
+  int repeat = 64;
+  std::size_t threads = 0;  // 0 = one per hardware thread
+  int serve_batches = 200;
+  util::Flags knobs(
+      "bench_predict_throughput",
+      "usage: bench_predict_throughput\n"
+      "environment: TEVOT_PREDICT_ROWS, TEVOT_PREDICT_REPEAT, "
+      "TEVOT_PREDICT_BATCHES >= 1;\n"
+      "  TEVOT_PREDICT_THREADS in 0.." + std::to_string(util::kMaxJobs) +
+          " (0 = one per hardware thread)\n");
+  knobs.env("TEVOT_PREDICT_ROWS", util::count(&rows))
+      .env("TEVOT_PREDICT_REPEAT", util::count(&repeat))
+      .env("TEVOT_PREDICT_THREADS", util::jobs(&threads))
+      .env("TEVOT_PREDICT_BATCHES", util::count(&serve_batches));
+  if (!knobs.parseEnv()) return knobs.usage();
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  const auto serve_batches =
-      static_cast<int>(util::envInt("TEVOT_PREDICT_BATCHES", 200));
 
   const auto bench_start = Clock::now();
   const core::TevotModel model = trainModel();

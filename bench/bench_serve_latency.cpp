@@ -19,6 +19,7 @@
 #include "tevot/model.hpp"
 #include "tevot/pipeline.hpp"
 #include "util/fault_injection.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -44,10 +45,15 @@ core::TevotModel trainTinyModel() {
 }  // namespace
 
 int main() {
-  const auto clients =
-      static_cast<int>(util::envInt("TEVOT_SERVE_CLIENTS", 4));
-  const auto requests =
-      static_cast<int>(util::envInt("TEVOT_SERVE_REQUESTS", 2000));
+  int clients = 4;
+  int requests = 2000;
+  util::Flags knobs("bench_serve_latency",
+                    "usage: bench_serve_latency\n"
+                    "environment: TEVOT_SERVE_CLIENTS in 1..64, "
+                    "TEVOT_SERVE_REQUESTS >= 1\n");
+  knobs.env("TEVOT_SERVE_CLIENTS", util::inRange(&clients, 1, 64))
+      .env("TEVOT_SERVE_REQUESTS", util::count(&requests));
+  if (!knobs.parseEnv()) return knobs.usage();
 
   const std::string dir = "bench_serve_models";
   std::filesystem::create_directories(dir);

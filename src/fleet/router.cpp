@@ -209,20 +209,23 @@ void Router::healthLoop() {
 
 void Router::handleLine(int fd, Backends& backends,
                         std::string_view line) {
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
   serve::Request request;
   const util::Status parsed = serve::parseRequest(line, &request);
   if (!parsed.ok()) {
     // The router rejects malformed lines itself; garbage never
     // reaches a worker.
+    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     writeResponses(fd,
                    {serve::responseForParseFailure(parsed).serialize()});
     return;
   }
-  const std::size_t lines = request.responseCount();
-  if (lines > 1) {
-    metrics_.requests.fetch_add(lines - 1, std::memory_order_relaxed);
+  if (request.kind == serve::RequestKind::kStats) {
+    // As on a worker, reading the counters is not a request.
+    serve::sendAll(fd, handleControl(request).serialize() + '\n');
+    return;
   }
+  const std::size_t lines = request.responseCount();
+  metrics_.requests.fetch_add(lines, std::memory_order_relaxed);
   if (request.kind != serve::RequestKind::kPredict &&
       request.kind != serve::RequestKind::kPredictBatch) {
     writeResponses(fd, {handleControl(request).serialize()});

@@ -135,6 +135,12 @@ double parseTriple(Lexer& lex, const char* context) {
     throw std::runtime_error(
         std::string("SDF parse error: unequal min:typ:max in ") + context);
   }
+  // A negative delay would schedule a transition before its cause,
+  // which the event simulator cannot order.
+  if (typ < 0.0) {
+    throw std::runtime_error(std::string("SDF parse error: negative delay '") +
+                             triple + "' in " + context);
+  }
   return typ;
 }
 

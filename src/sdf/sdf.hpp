@@ -33,8 +33,9 @@ std::string toSdfString(const netlist::Netlist& nl,
 
 /// Parses SDF text produced by writeSdf back into CornerDelays for the
 /// same netlist. Throws std::runtime_error with a line-ish diagnostic
-/// on malformed input, on a DESIGN name mismatch, on a gate-count
-/// mismatch, or on a CELLTYPE that contradicts the netlist.
+/// on malformed input, on a non-finite or negative delay, on a DESIGN
+/// name mismatch, on a gate-count mismatch, or on a CELLTYPE that
+/// contradicts the netlist.
 liberty::CornerDelays parseSdf(std::istream& is, const netlist::Netlist& nl);
 
 liberty::CornerDelays parseSdfString(const std::string& text,

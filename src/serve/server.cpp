@@ -82,10 +82,10 @@ LineServer::LineHandler Server::onConnection(int fd) {
 }
 
 void Server::handleLine(int fd, std::string_view line) {
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   if (faults_->shouldFail("serve.parse", std::to_string(id))) {
+    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     writeResponse(fd, Response::error(ErrorCode::kFaultInjected,
                                       "injected fault at serve.parse"));
     return;
@@ -95,16 +95,22 @@ void Server::handleLine(int fd, std::string_view line) {
   if (!parsed.ok()) {
     // Parse failures are per-line: one BAD_REQUEST/PARSE even for a
     // malformed predictN (there is no trustworthy tuple count yet).
+    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     writeResponse(fd, responseForParseFailure(parsed));
+    return;
+  }
+  if (request.kind == RequestKind::kStats) {
+    // Reading the counters is not a request: the fleet router probes
+    // every shard with `stats` each health tick, and counting those
+    // would pass probes off as client traffic.
+    sendAll(fd, handleControl(request).serialize() + '\n');
     return;
   }
   // From here the line is a well-formed request answered with
   // responseCount() lines; count each tuple toward the
   // requests == ok+shed+deadline+errors invariant.
   const std::size_t lines = request.responseCount();
-  if (lines > 1) {
-    metrics_.requests.fetch_add(lines - 1, std::memory_order_relaxed);
-  }
+  metrics_.requests.fetch_add(lines, std::memory_order_relaxed);
   if (request.kind != RequestKind::kPredict &&
       request.kind != RequestKind::kPredictBatch) {
     writeResponse(fd, handleControl(request));

@@ -1,7 +1,9 @@
 #include "sim/timing_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace tevot::sim {
 
@@ -31,13 +33,43 @@ std::uint64_t CycleRecord::latchedWord(double tclk_ps) const {
   return latchWord(start_word, output_toggles, tclk_ps);
 }
 
-TimingSimulator::TimingSimulator(const netlist::Netlist& nl,
-                                 const liberty::CornerDelays& delays)
-    : nl_(nl), delays_(delays) {
-  if (delays.gateCount() != nl.gateCount()) {
+namespace {
+
+/// The annotation the queues rely on: one rise/fall pair per gate,
+/// each finite and non-negative, so no event is scheduled before the
+/// one that caused it; and a finite sum, which bounds every event time
+/// (a causal chain visits each gate of the DAG at most once).
+const liberty::CornerDelays& checkedDelays(
+    const netlist::Netlist& nl, const liberty::CornerDelays& delays) {
+  if (delays.gateCount() != nl.gateCount() ||
+      delays.fall_ps.size() != nl.gateCount()) {
     throw std::invalid_argument(
         "TimingSimulator: delay annotation does not match netlist");
   }
+  double sum = 0.0;
+  for (std::size_t g = 0; g < delays.gateCount(); ++g) {
+    for (const double delay : {delays.rise_ps[g], delays.fall_ps[g]}) {
+      if (!(delay >= 0.0) || !std::isfinite(delay)) {
+        throw std::invalid_argument(
+            "TimingSimulator: gate " + std::to_string(g) +
+            " has a negative or non-finite delay");
+      }
+    }
+    sum += std::max(delays.rise_ps[g], delays.fall_ps[g]);
+  }
+  if (!std::isfinite(sum)) {
+    throw std::invalid_argument(
+        "TimingSimulator: delay annotation sums past the double range");
+  }
+  return delays;
+}
+
+}  // namespace
+
+template <typename Queue>
+BasicTimingSimulator<Queue>::BasicTimingSimulator(
+    const netlist::Netlist& nl, const liberty::CornerDelays& delays)
+    : nl_(nl), delays_(checkedDelays(nl, delays)), queue_(delays_) {
   net_values_.assign(nl.netCount(), 0);
   latest_seq_.assign(nl.netCount(), 0);
   output_index_.assign(nl.netCount(), 0);
@@ -47,44 +79,33 @@ TimingSimulator::TimingSimulator(const netlist::Netlist& nl,
   }
 }
 
-void TimingSimulator::setToggleObserver(ToggleObserver observer,
-                                        double window_ps) {
+template <typename Queue>
+void BasicTimingSimulator<Queue>::setToggleObserver(ToggleObserver observer,
+                                                    double window_ps) {
   observer_ = std::move(observer);
   observer_window_ps_ = window_ps;
 }
 
-void TimingSimulator::reset(std::span<const std::uint8_t> inputs) {
+template <typename Queue>
+void BasicTimingSimulator<Queue>::reset(std::span<const std::uint8_t> inputs) {
   net_values_ = nl_.evalFunctional(inputs);
   prev_inputs_.assign(inputs.begin(), inputs.end());
-  heap_.clear();
+  queue_.clear();
   std::fill(latest_seq_.begin(), latest_seq_.end(), 0);
   initialized_ = true;
 }
 
-void TimingSimulator::pushEvent(double time_ps, NetId net, bool value) {
+template <typename Queue>
+void BasicTimingSimulator<Queue>::pushEvent(double time_ps, NetId net,
+                                            bool value) {
   ++next_seq_;
   latest_seq_[net] = next_seq_;
-  heap_.push_back(Event{time_ps, next_seq_, net, value ? std::uint8_t{1}
-                                                       : std::uint8_t{0}});
-  std::push_heap(heap_.begin(), heap_.end(),
-                 [](const Event& a, const Event& b) {
-                   if (a.time_ps != b.time_ps) return a.time_ps > b.time_ps;
-                   return a.seq > b.seq;
-                 });
+  queue_.push(SimEvent{time_ps, next_seq_, net,
+                       value ? std::uint8_t{1} : std::uint8_t{0}});
 }
 
-TimingSimulator::Event TimingSimulator::popEvent() {
-  std::pop_heap(heap_.begin(), heap_.end(),
-                [](const Event& a, const Event& b) {
-                  if (a.time_ps != b.time_ps) return a.time_ps > b.time_ps;
-                  return a.seq > b.seq;
-                });
-  const Event event = heap_.back();
-  heap_.pop_back();
-  return event;
-}
-
-void TimingSimulator::scheduleFanout(NetId net, double now_ps) {
+template <typename Queue>
+void BasicTimingSimulator<Queue>::scheduleFanout(NetId net, double now_ps) {
   for (const GateId g : nl_.fanout(net)) {
     const Gate& gate = nl_.gate(g);
     const bool a = gate.fanin > 0 && net_values_[gate.in[0]] != 0;
@@ -103,7 +124,9 @@ void TimingSimulator::scheduleFanout(NetId net, double now_ps) {
   }
 }
 
-CycleRecord TimingSimulator::step(std::span<const std::uint8_t> inputs) {
+template <typename Queue>
+CycleRecord BasicTimingSimulator<Queue>::step(
+    std::span<const std::uint8_t> inputs) {
   if (!initialized_) {
     throw std::logic_error("TimingSimulator: step before reset");
   }
@@ -112,6 +135,8 @@ CycleRecord TimingSimulator::step(std::span<const std::uint8_t> inputs) {
     throw std::invalid_argument("TimingSimulator: input arity mismatch");
   }
 
+  // Each cycle starts at time 0 on an empty queue.
+  queue_.clear();
   CycleRecord record;
   const auto outputs = nl_.outputs();
   // Words intentionally hold only the first kOutputWordBits outputs;
@@ -147,8 +172,8 @@ CycleRecord TimingSimulator::step(std::span<const std::uint8_t> inputs) {
   prev_inputs_.assign(inputs.begin(), inputs.end());
 
   // Propagate to quiescence.
-  while (!heap_.empty()) {
-    const Event event = popEvent();
+  while (!queue_.empty()) {
+    const SimEvent event = queue_.pop();
     ++record.events_processed;
     if (latest_seq_[event.net] != event.seq) continue;  // superseded
     latest_seq_[event.net] = 0;
@@ -173,5 +198,8 @@ CycleRecord TimingSimulator::step(std::span<const std::uint8_t> inputs) {
   total_events_ += record.events_processed;
   return record;
 }
+
+template class BasicTimingSimulator<TimeWheelQueue>;
+template class BasicTimingSimulator<HeapEventQueue>;
 
 }  // namespace tevot::sim

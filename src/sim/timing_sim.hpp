@@ -25,6 +25,7 @@
 
 #include "liberty/corner.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/event_queue.hpp"
 
 namespace tevot::sim {
 
@@ -79,11 +80,20 @@ struct CycleRecord {
 using ToggleObserver =
     std::function<void(double time_ps, netlist::NetId net, bool value)>;
 
-class TimingSimulator {
+/// Event-driven simulator over one netlist and corner annotation.
+/// `Queue` orders the pending transitions (see event_queue.hpp); every
+/// queue pops in (time, seq) order, so the choice changes speed only.
+/// Use TimingSimulator; HeapTimingSimulator is the reference the
+/// differential oracle checks it against.
+template <typename Queue>
+class BasicTimingSimulator {
  public:
-  /// Both references must outlive the simulator.
-  TimingSimulator(const netlist::Netlist& nl,
-                  const liberty::CornerDelays& delays);
+  /// Both references must outlive the simulator. Throws
+  /// std::invalid_argument when `delays` does not match `nl` or holds
+  /// a negative, NaN or infinite delay (or delays whose sum is not
+  /// finite).
+  BasicTimingSimulator(const netlist::Netlist& nl,
+                       const liberty::CornerDelays& delays);
 
   /// Initializes every net to its settled functional value for
   /// `inputs` without recording toggles. Must be called before the
@@ -110,16 +120,8 @@ class TimingSimulator {
   std::uint64_t totalEvents() const { return total_events_; }
 
  private:
-  struct Event {
-    double time_ps;
-    std::uint64_t seq;    ///< schedule order, for cancellation + ties
-    netlist::NetId net;
-    std::uint8_t value;
-  };
-
   void scheduleFanout(netlist::NetId net, double now_ps);
   void pushEvent(double time_ps, netlist::NetId net, bool value);
-  Event popEvent();
 
   const netlist::Netlist& nl_;
   const liberty::CornerDelays& delays_;
@@ -127,7 +129,7 @@ class TimingSimulator {
   /// Latest schedule sequence per net; an event is stale (cancelled)
   /// unless its seq matches. Implements inertial-delay preemption.
   std::vector<std::uint64_t> latest_seq_;
-  std::vector<Event> heap_;
+  Queue queue_;
   std::uint64_t next_seq_ = 0;
   std::vector<std::uint8_t> prev_inputs_;
   bool initialized_ = false;
@@ -138,5 +140,13 @@ class TimingSimulator {
   /// Maps NetId -> output bit index + 1 (0 = not an output).
   std::vector<std::uint32_t> output_index_;
 };
+
+extern template class BasicTimingSimulator<TimeWheelQueue>;
+extern template class BasicTimingSimulator<HeapEventQueue>;
+
+/// The simulator every flow uses.
+using TimingSimulator = BasicTimingSimulator<TimeWheelQueue>;
+/// Binary-heap reference, for differential checks only.
+using HeapTimingSimulator = BasicTimingSimulator<HeapEventQueue>;
 
 }  // namespace tevot::sim

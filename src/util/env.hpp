@@ -1,9 +1,9 @@
 // Environment-variable configuration knobs.
 //
 // Benchmarks default to reduced scales so the whole suite finishes in
-// minutes; setting TEVOT_FULL=1 restores paper-scale sweeps. These
-// helpers centralize the parsing so every binary interprets the knobs
-// identically.
+// minutes; setting TEVOT_FULL=1 restores paper-scale sweeps. Numeric
+// knobs are read through util::Flags::env, which refuses a malformed
+// value instead of falling back to the default.
 #pragma once
 
 #include <string>
@@ -13,14 +13,6 @@ namespace tevot::util {
 /// Returns the value of environment variable `name`, or `fallback` if
 /// unset or empty.
 std::string envString(const char* name, const std::string& fallback);
-
-/// Parses an integer environment variable; returns `fallback` on
-/// absence or parse failure.
-long envInt(const char* name, long fallback);
-
-/// Parses a floating-point environment variable; returns `fallback`
-/// on absence or parse failure.
-double envDouble(const char* name, double fallback);
 
 /// True when the variable is set to 1/true/yes/on (case-insensitive).
 bool envFlag(const char* name, bool fallback = false);

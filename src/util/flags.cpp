@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace tevot::util {
@@ -75,6 +76,11 @@ Flags& Flags::arg(std::string name, ValueParser parse, Arity arity) {
   return *this;
 }
 
+Flags& Flags::env(std::string name, ValueParser parse) {
+  environment_.push_back({std::move(name), std::move(parse)});
+  return *this;
+}
+
 bool Flags::fail(const std::string& message) const {
   std::fprintf(stderr, "%s: %s\n", tool_.c_str(), message.c_str());
   return false;
@@ -85,10 +91,20 @@ int Flags::usage() const {
   return 2;
 }
 
+bool Flags::parseEnv() const {
+  for (const Entry& entry : environment_) {
+    const char* value = std::getenv(entry.name.c_str());
+    if (value == nullptr || *value == '\0' || entry.parse(value)) continue;
+    return fail("bad value for " + entry.name + ": '" + value + "'");
+  }
+  return true;
+}
+
 bool Flags::parse(int argc, char** argv, int first, int* rest) const {
   const auto bad = [this](const std::string& name, std::string_view value) {
     return fail("bad value for " + name + ": '" + std::string(value) + "'");
   };
+  if (!parseEnv()) return false;
   std::size_t next = 0;  // the positional the next plain token fills
   for (int i = first; i < argc; ++i) {
     const std::string_view token = argv[i];

@@ -1,8 +1,8 @@
-// Table-driven command-line parsing shared by the tools.
+// Table-driven command-line parsing shared by the tools and benches.
 //
 // A tool declares each option once (its name and a value parser that
-// checks type and range, then stores) and its positionals in order,
-// then calls Flags::parse. Numbers parse whole through std::from_chars:
+// checks type and range, then stores), its positionals in order, and
+// any environment knobs, then calls Flags::parse. Numbers parse whole through std::from_chars:
 // trailing junk, an empty string, a leading '+', a '-' on an unsigned
 // value, overflow, NaN and infinity are refused, never coerced. `--name=value` equals
 // `--name value`; a repeated option keeps its last value. A token that
@@ -89,6 +89,10 @@ class Flags {
   Flags& flag(std::string name, bool* out);
   /// The next positional. Optional and repeated (kAny) ones go last.
   Flags& arg(std::string name, ValueParser parse, Arity arity = Arity::kOne);
+  /// An environment variable, read by parse() before the command line
+  /// (so a flag for the same value wins). Unset or empty keeps the
+  /// default; any other value must pass `parse`.
+  Flags& env(std::string name, ValueParser parse);
 
   /// Parses argv[first..argc). On the first bad token prints why to
   /// stderr ("<tool>: --x needs a value", "unknown option --x", "bad
@@ -98,6 +102,8 @@ class Flags {
   /// there is none) in *rest.
   bool parse(int argc, char** argv, int first = 1,
              int* rest = nullptr) const;
+  /// Reads only the env() variables, failing like parse().
+  bool parseEnv() const;
   /// Prints the usage text to stderr; returns 2, the usage exit code.
   int usage() const;
 
@@ -114,6 +120,7 @@ class Flags {
   std::string usage_;
   std::vector<Entry> options_;
   std::vector<Entry> positionals_;
+  std::vector<Entry> environment_;
 };
 
 }  // namespace tevot::util

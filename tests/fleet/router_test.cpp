@@ -3,6 +3,7 @@
 // against real serve::Server shards on loopback.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -264,11 +265,9 @@ TEST(RouterTest, WorkerStatsAggregateExactly) {
   const serve::MetricsSnapshot aggregated = router.workerStats();
   serve::MetricsSnapshot direct;
   for (const auto& shard : shards) direct.mergeFrom(shard->stats());
-  // The health probes keep issuing `stats` requests of their own, so
-  // the raw ok/requests counters drift between the two snapshots;
-  // the latency surface is predict-only and must match exactly: the
-  // aggregate assembled from parsed wire lines carries the same 24
-  // samples, bucket for bucket, as the in-process merge.
+  // The latency surface must match exactly: the aggregate assembled
+  // from parsed wire lines carries the same 24 samples, bucket for
+  // bucket, as the in-process merge.
   EXPECT_EQ(aggregated.latency_count, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(direct.latency_count, static_cast<std::uint64_t>(kRequests));
   for (std::size_t b = 0; b < util::LatencyHistogram::kBuckets; ++b) {
@@ -288,6 +287,49 @@ TEST(RouterTest, WorkerStatsAggregateExactly) {
 
   router.drainAndStop();
   for (auto& shard : shards) shard->drainAndStop();
+}
+
+TEST(RouterTest, HealthProbesAreNotCountedAsShardRequests) {
+  // fastRouterOptions probes every 10 ms, so the window below spans
+  // dozens of `stats` probes; none may count as a shard request.
+  const std::unique_ptr<serve::Server> shard = bootShard();
+  Router router(fastRouterOptions(), {{shard->port(), {}}});
+  ASSERT_TRUE(router.start().ok());
+  ASSERT_TRUE(awaitAllEligible(router));
+
+  const auto start = std::chrono::steady_clock::now();
+  const serve::MetricsSnapshot before = shard->stats();
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(router.port()).ok());
+  constexpr int kLines = 8;
+  for (int i = 0; i < kLines; ++i) {
+    EXPECT_EQ(request(client, "predict int_add 0.9 25 300 " +
+                                  std::to_string(i) + " 2 3 4")
+                  .status,
+              ResponseStatus::kOk);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  }
+  // Let the health loop poll the final counters.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const serve::MetricsSnapshot after = shard->stats();
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(250));
+
+  EXPECT_EQ(after.requests - before.requests,
+            static_cast<std::uint64_t>(kLines));
+  EXPECT_EQ(after.ok - before.ok, static_cast<std::uint64_t>(kLines));
+  EXPECT_EQ(after.requests,
+            after.ok + after.shed + after.deadline + after.errors);
+  // The probes did run: the aggregate they assemble saw the final
+  // counters.
+  EXPECT_EQ(router.workerStats().requests, after.requests);
+  // A client's `stats` read through the router is not a request either.
+  const serve::MetricsSnapshot router_before = router.stats();
+  EXPECT_EQ(request(client, "stats").status, ResponseStatus::kOk);
+  EXPECT_EQ(router.stats().requests, router_before.requests);
+
+  router.drainAndStop();
+  shard->drainAndStop();
 }
 
 }  // namespace

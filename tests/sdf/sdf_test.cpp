@@ -80,6 +80,25 @@ TEST(SdfTest, MalformedInputRejected) {
   EXPECT_THROW(parseSdfString(truncated, nl), std::runtime_error);
 }
 
+TEST(SdfTest, NegativeDelayRejected) {
+  const netlist::Netlist nl =
+      circuits::buildIntAdd(4, circuits::AdderArch::kRipple);
+  liberty::CornerDelays delays = annotate(nl, {0.9, 50.0});
+  delays.fall_ps[2] = -1.5;
+  const std::string text = toSdfString(nl, delays);
+  try {
+    parseSdfString(text, nl);
+    FAIL() << "negative delay accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("negative delay"),
+              std::string::npos)
+        << error.what();
+  }
+  // -0 is not negative: it parses as a zero delay.
+  delays.fall_ps[2] = -0.0;
+  EXPECT_EQ(parseSdfString(toSdfString(nl, delays), nl).fall_ps[2], 0.0);
+}
+
 TEST(SdfTest, FileRoundTrip) {
   const netlist::Netlist nl =
       circuits::buildIntAdd(6, circuits::AdderArch::kRipple);

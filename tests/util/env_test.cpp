@@ -25,26 +25,6 @@ TEST_F(EnvTest, StringFallbacks) {
   EXPECT_EQ(envString("TEVOT_TEST_VAR", "dflt"), "value");
 }
 
-TEST_F(EnvTest, IntParsing) {
-  ::unsetenv("TEVOT_TEST_VAR");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 42);
-  SetVar("123");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 123);
-  SetVar("-7");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), -7);
-  SetVar("12abc");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 42);  // trailing junk rejected
-  SetVar("abc");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 42);
-}
-
-TEST_F(EnvTest, DoubleParsing) {
-  SetVar("2.5");
-  EXPECT_DOUBLE_EQ(envDouble("TEVOT_TEST_VAR", 1.0), 2.5);
-  SetVar("nonsense");
-  EXPECT_DOUBLE_EQ(envDouble("TEVOT_TEST_VAR", 1.0), 1.0);
-}
-
 TEST_F(EnvTest, FlagParsing) {
   ::unsetenv("TEVOT_TEST_VAR");
   EXPECT_FALSE(envFlag("TEVOT_TEST_VAR"));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -227,6 +228,32 @@ TEST(FlagsTest, RestModeStopsAtTheFirstPositional) {
   EXPECT_EQ(jobs, 4u);
   EXPECT_TRUE(flags.parse(2, argv.data(), 1, &rest));
   EXPECT_EQ(rest, 2);  // no positional: argc
+}
+
+TEST(FlagsTest, EnvironmentKnobsParseBeforeFlags) {
+  std::size_t jobs_value = 1;
+  Flags flags("tool", "usage\n");
+  flags.env("TEVOT_FLAGS_TEST_JOBS", jobs(&jobs_value))
+      .option("--jobs", jobs(&jobs_value));
+  ::unsetenv("TEVOT_FLAGS_TEST_JOBS");
+  EXPECT_TRUE(parseArgs(flags, {}));
+  EXPECT_EQ(jobs_value, 1u);
+  ::setenv("TEVOT_FLAGS_TEST_JOBS", "", 1);  // empty keeps the default
+  EXPECT_TRUE(parseArgs(flags, {}));
+  EXPECT_EQ(jobs_value, 1u);
+  ::setenv("TEVOT_FLAGS_TEST_JOBS", "3", 1);
+  EXPECT_TRUE(parseArgs(flags, {}));
+  EXPECT_EQ(jobs_value, 3u);
+  EXPECT_TRUE(parseArgs(flags, {"--jobs", "2"}));  // the flag wins
+  EXPECT_EQ(jobs_value, 2u);
+  ::setenv("TEVOT_FLAGS_TEST_JOBS", "abc", 1);
+  std::string err;
+  EXPECT_FALSE(parseArgs(flags, {"--jobs", "2"}, &err));
+  EXPECT_EQ(err, "tool: bad value for TEVOT_FLAGS_TEST_JOBS: 'abc'\n");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.parseEnv());
+  testing::internal::GetCapturedStderr();
+  ::unsetenv("TEVOT_FLAGS_TEST_JOBS");
 }
 
 }  // namespace

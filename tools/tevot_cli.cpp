@@ -88,6 +88,7 @@
 #include "check/oracles.hpp"
 #include "check/property.hpp"
 #include "check/serve_oracle.hpp"
+#include "check/sim_queue_oracle.hpp"
 #include "check/sweep_oracle.hpp"
 #include "check/verify_oracle.hpp"
 #include "dta/sweep.hpp"
@@ -357,6 +358,8 @@ int cmdCheck(Cli& cli) {
                           check::checkSimVsStaOnRandomNetlist);
   properties.emplace_back("sim-vs-sta/sensitized-chain",
                           check::checkSimMeetsStaOnChain);
+  properties.emplace_back("sim-queue/random-netlist",
+                          check::checkSimQueueOnRandomNetlist);
   for (auto& context : contexts) {
     core::FuContext* fu = context.get();
     const std::string name(circuits::fuName(fu->kind()));
@@ -369,6 +372,11 @@ int cmdCheck(Cli& cli) {
         "sim-vs-ref/" + name,
         [fu](std::uint64_t seed, util::Rng& rng) {
           check::checkSimVsReferenceOnFu(*fu, seed, rng);
+        });
+    properties.emplace_back(
+        "sim-queue/" + name,
+        [fu](std::uint64_t seed, util::Rng& rng) {
+          check::checkSimQueueOnFu(*fu, seed, rng);
         });
   }
   properties.emplace_back("model-round-trip", check::checkModelRoundTrip);
