@@ -4,10 +4,30 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "util/flags.hpp"
 
+// CMAKE_BUILD_TYPE, from bench/CMakeLists.txt. Other builds that
+// compile this file (perfbench) record none.
+#ifndef TEVOT_BUILD_TYPE
+#define TEVOT_BUILD_TYPE "unknown"
+#endif
+
 namespace tevot::bench {
+namespace {
+
+/// A JSON string literal (quotes and backslashes escaped).
+std::string jsonString(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+}  // namespace
 
 BenchScale BenchScale::fromEnvironment(int argc, char** argv) {
   const bool full = util::fullScale();
@@ -154,6 +174,48 @@ std::string formatPercent(double fraction, int width) {
   std::snprintf(buffer, sizeof(buffer), "%*.2f%%", width - 1,
                 fraction * 100.0);
   return buffer;
+}
+
+std::string cpuModel() {
+  std::ifstream is("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+std::string compilerName() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("g++ ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+bool writeHostBenchJson(
+    const std::string& path, const std::string& bench_name,
+    double wall_seconds,
+    const std::vector<std::pair<std::string, double>>& metrics) {
+  std::ofstream os(path);
+  if (!os) return false;
+  os << "{\n  \"bench\": " << jsonString(bench_name)
+     << ",\n  \"nproc\": " << std::thread::hardware_concurrency()
+     << ",\n  \"cpu_model\": " << jsonString(cpuModel())
+     << ",\n  \"compiler\": " << jsonString(compilerName())
+     << ",\n  \"build_type\": " << jsonString(TEVOT_BUILD_TYPE)
+     << ",\n  \"wall_clock_s\": " << wall_seconds;
+  for (const auto& [key, value] : metrics) {
+    os << ",\n  \"" << key << "\": " << value;
+  }
+  os << "\n}\n";
+  return static_cast<bool>(os);
 }
 
 void writeBenchJson(

@@ -92,6 +92,21 @@ core::EvalOutcome evaluateDataset(core::ErrorModel& model,
 /// Prints a right-aligned percentage cell.
 std::string formatPercent(double fraction, int width = 8);
 
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+std::string cpuModel();
+/// Compiler name and version.
+std::string compilerName();
+
+/// Writes `path` — a BENCH_*.json committed at the repo root when the
+/// bench runs from there — with the bench name, the host and build
+/// (nproc, CPU model, compiler, build type), the wall-clock seconds
+/// and `metrics`, so copies from different machines are not compared
+/// blindly. Returns false when `path` cannot be written.
+bool writeHostBenchJson(
+    const std::string& path, const std::string& bench_name,
+    double wall_seconds,
+    const std::vector<std::pair<std::string, double>>& metrics);
+
 /// Writes `<dir>/<bench_name>.json` (dir from TEVOT_BENCH_OUT,
 /// default "bench_out") recording wall-clock seconds, the thread
 /// count and any extra metrics, so the speedup trajectory stays

@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,40 +90,6 @@ double timedRate(std::size_t rows, int repeat, std::size_t threads,
 
 /// Keeps the optimizer from discarding prediction loops.
 volatile double g_sink = 0.0;
-
-/// The "model name" line of /proc/cpuinfo, or "unknown".
-std::string cpuModel() {
-  std::ifstream is("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos && colon + 2 <= line.size()) {
-      return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
-}
-
-std::string compilerName() {
-#if defined(__clang__)
-  return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  return std::string("g++ ") + __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
-/// A JSON string literal (quotes and backslashes escaped).
-std::string jsonString(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
 
 }  // namespace
 
@@ -327,18 +292,7 @@ int main() {
   bench::writeBenchJson("predict_throughput", threads, wall, metrics);
 
   // The committed repo-root copy (run from the repo root).
-  std::ofstream os("BENCH_predict_throughput.json");
-  if (os) {
-    os << "{\n  \"bench\": \"predict_throughput\",\n  \"nproc\": "
-       << std::thread::hardware_concurrency()
-       << ",\n  \"cpu_model\": " << jsonString(cpuModel())
-       << ",\n  \"compiler\": " << jsonString(compilerName())
-       << ",\n  \"build_type\": " << jsonString(TEVOT_BUILD_TYPE)
-       << ",\n  \"wall_clock_s\": " << wall;
-    for (const auto& [key, value] : metrics) {
-      os << ",\n  \"" << key << "\": " << value;
-    }
-    os << "\n}\n";
-  }
+  bench::writeHostBenchJson("BENCH_predict_throughput.json",
+                            "predict_throughput", wall, metrics);
   return 0;
 }

@@ -16,9 +16,21 @@
 // a single clock (the pooled median training delay, so both classes
 // are well represented — at an error-free base clock every method
 // would trivially score the majority-class rate).
+//
+// A second table times the forest fit layer TEVoT's characterization
+// runs: per FU, the delay regressor with the default ForestParams on
+// one thread, fitted with the packed split search (DecisionTree::fit)
+// and with the per-feature reference search
+// (DecisionTree::fitReference), min and median over repeats, on a
+// random workload characterized at every corner. The trees must come
+// out identical. It is written to BENCH_forest_fit.json in the current
+// directory (run from the repo root to update the committed copy).
+// 140 cycles at each of the 9 default corners make the ~1260-row
+// datasets a characterize round fits per FU.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -59,6 +71,105 @@ MethodResult runMethod(const std::string& name, const ml::Dataset& train,
   result.test_seconds = seconds(t0);
   result.accuracy = ml::accuracy(predictions, test.y);
   return result;
+}
+
+struct MinMedian {
+  double min;
+  double median;
+};
+
+MinMedian minMedian(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const double median = n % 2 == 1 ? samples[n / 2]
+                                   : 0.5 * (samples[n / 2 - 1] +
+                                            samples[n / 2]);
+  return {samples.front(), median};
+}
+
+bool sameTrees(std::span<const ml::DecisionTree> a,
+               std::span<const ml::DecisionTree> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    const auto x = a[t].nodes();
+    const auto y = b[t].nodes();
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(),
+                    x.size() * sizeof(ml::DecisionTree::Node)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr int kFitRepeats = 5;
+constexpr std::size_t kFitCyclesPerCorner = 140;
+
+/// The forest-fit table; returns false when the two searches grew
+/// different trees.
+bool benchForestFit(const BenchScale& scale) {
+  std::printf(
+      "\n=== Forest fit: packed vs per-feature split search ===\n"
+      "TEVoT delay regression, default ForestParams (10 trees, all "
+      "features), 1 thread, %d fits each\n\n",
+      kFitRepeats);
+  std::printf("  %-8s %6s %16s %16s %9s\n", "FU", "rows",
+              "reference min/med", "packed min/med", "speedup");
+  const auto bench_start = Clock::now();
+  std::vector<std::pair<std::string, double>> metrics;
+  bool identical = true;
+  for (const circuits::FuKind kind : circuits::kAllFus) {
+    core::FuContext context(kind);
+    util::Rng rng(0xf17);
+    const dta::Workload workload =
+        dta::randomWorkloadFor(kind, kFitCyclesPerCorner, rng, "random_data");
+    std::vector<dta::DtaTrace> traces;
+    for (const liberty::Corner& corner : scale.corners) {
+      traces.push_back(context.characterize(corner, workload));
+    }
+    const ml::Dataset data =
+        core::buildDelayDataset(traces, core::FeatureEncoder{});
+    const ml::ForestParams params;
+    std::vector<double> packed_s, reference_s;
+    for (int r = 0; r < kFitRepeats; ++r) {
+      util::Rng packed_rng(7), reference_rng(7);
+      auto t0 = Clock::now();
+      ml::RandomForestRegressor forest;
+      forest.fit(data, params, packed_rng);
+      packed_s.push_back(seconds(t0));
+      t0 = Clock::now();
+      const std::vector<ml::DecisionTree> reference = ml::fitReferenceTrees(
+          data, ml::TreeTask::kRegression, params, reference_rng);
+      reference_s.push_back(seconds(t0));
+      identical = identical && sameTrees(forest.trees(), reference);
+    }
+    const MinMedian packed = minMedian(packed_s);
+    const MinMedian ref = minMedian(reference_s);
+    const std::string slug(circuits::fuSlug(kind));
+    std::printf("  %-8s %6zu %7.1f/%6.1fms %7.1f/%6.1fms %8.2fx\n",
+                std::string(circuits::fuName(kind)).c_str(), data.size(),
+                ref.min * 1e3, ref.median * 1e3, packed.min * 1e3,
+                packed.median * 1e3, ref.median / packed.median);
+    metrics.insert(metrics.end(),
+                   {{slug + "_rows", static_cast<double>(data.size())},
+                    {slug + "_reference_fit_min_s", ref.min},
+                    {slug + "_reference_fit_median_s", ref.median},
+                    {slug + "_packed_fit_min_s", packed.min},
+                    {slug + "_packed_fit_median_s", packed.median},
+                    {slug + "_speedup_median", ref.median / packed.median}});
+  }
+  metrics.insert(metrics.begin(),
+                 {{"repeats", static_cast<double>(kFitRepeats)},
+                  {"cycles_per_corner",
+                   static_cast<double>(kFitCyclesPerCorner)},
+                  {"corners", static_cast<double>(scale.corners.size())},
+                  {"trees_identical", identical ? 1.0 : 0.0}});
+  std::printf("  trees identical: %s\n", identical ? "yes" : "NO");
+  if (writeHostBenchJson("BENCH_forest_fit.json", "forest_fit",
+                         seconds(bench_start), metrics)) {
+    std::printf("wrote BENCH_forest_fit.json\n");
+  }
+  return identical;
 }
 
 }  // namespace
@@ -156,5 +267,5 @@ int main() {
   std::printf(
       "\npaper (200K samples, 2009-era Xeon): LR 82.3%% / KNN 81.7%% / "
       "SVM 92.2%% / RFC 98.3%%; RFC fastest to test after LR.\n");
-  return 0;
+  return benchForestFit(scale) ? 0 : 1;
 }

@@ -219,8 +219,9 @@ void Router::handleLine(int fd, Backends& backends,
                    {serve::responseForParseFailure(parsed).serialize()});
     return;
   }
-  if (request.kind == serve::RequestKind::kStats) {
-    // As on a worker, reading the counters is not a request.
+  if (request.kind == serve::RequestKind::kStats ||
+      request.kind == serve::RequestKind::kHealth) {
+    // As on a worker, reading the counters or health is not a request.
     serve::sendAll(fd, handleControl(request).serialize() + '\n');
     return;
   }

@@ -1,10 +1,14 @@
 // CART decision trees (classification and regression).
 //
 // Greedy recursive binary splitting: Gini impurity for (binary)
-// classification, variance reduction for regression. Binary {0,1}
-// feature columns — the bulk of TEVoT's feature space — are detected
-// and split-scanned in O(n) without sorting; real-valued columns use
-// the classic sort-and-scan over midpoints between distinct values.
+// classification, variance reduction for regression. Columns that are
+// 0 or 1 on every row of the dataset — TEVoT's 128 operand bits — are
+// packed 64 to a word per row once per fit, and each node scores all of
+// them together from its rows (DESIGN.md §5k); the other columns are
+// checked per node for 0/1 values (an O(n) scan) and otherwise use the
+// classic sort-and-scan over midpoints between distinct values.
+// fitReference() scores every column on its own, the search fit()
+// replaced; the two grow bit-identical trees.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +37,14 @@ class DecisionTree {
   void fit(const Dataset& data, TreeTask task, const TreeParams& params,
            util::Rng& rng, std::span<const std::size_t> indices = {});
 
+  /// fit() with the per-feature split search: one strided pass per
+  /// column per node. The reference check::checkForestFitBitIdentity
+  /// and the tests compare fit() against; nodes, thresholds, leaf
+  /// values and importances come out bit-identical.
+  void fitReference(const Dataset& data, TreeTask task,
+                    const TreeParams& params, util::Rng& rng,
+                    std::span<const std::size_t> indices = {});
+
   /// Predicted class (0/1) or regression value for one feature row.
   float predict(std::span<const float> features) const;
 
@@ -59,6 +71,10 @@ class DecisionTree {
   void setNodes(std::vector<Node> nodes) { nodes_ = std::move(nodes); }
 
  private:
+  void grow(const Dataset& data, TreeTask task, const TreeParams& params,
+            util::Rng& rng, std::span<const std::size_t> indices,
+            bool pack_binary_columns);
+
   std::vector<Node> nodes_;
   /// Raw (unnormalized) impurity decrease per feature, from fit().
   std::vector<double> importance_raw_;

@@ -6,9 +6,15 @@
 namespace tevot::ml {
 namespace {
 
+/// DecisionTree::fit or DecisionTree::fitReference.
+using TreeFit = void (DecisionTree::*)(const Dataset&, TreeTask,
+                                       const TreeParams&, util::Rng&,
+                                       std::span<const std::size_t>);
+
 std::vector<DecisionTree> fitForest(const Dataset& data, TreeTask task,
                                     const ForestParams& params,
-                                    util::Rng& rng, util::ThreadPool* pool) {
+                                    util::Rng& rng, util::ThreadPool* pool,
+                                    TreeFit fit = &DecisionTree::fit) {
   if (params.n_trees <= 0) {
     throw std::invalid_argument("fitForest: n_trees must be positive");
   }
@@ -28,9 +34,9 @@ std::vector<DecisionTree> fitForest(const Dataset& data, TreeTask task,
       for (std::size_t i = 0; i < sample.size(); ++i) {
         sample[i] = tree_rng.nextBelow(data.size());
       }
-      trees[t].fit(data, task, params.tree, tree_rng, sample);
+      (trees[t].*fit)(data, task, params.tree, tree_rng, sample);
     } else {
-      trees[t].fit(data, task, params.tree, tree_rng);
+      (trees[t].*fit)(data, task, params.tree, tree_rng, {});
     }
   };
   if (pool != nullptr) {
@@ -42,6 +48,14 @@ std::vector<DecisionTree> fitForest(const Dataset& data, TreeTask task,
 }
 
 }  // namespace
+
+std::vector<DecisionTree> fitReferenceTrees(const Dataset& data,
+                                            TreeTask task,
+                                            const ForestParams& params,
+                                            util::Rng& rng) {
+  return fitForest(data, task, params, rng, nullptr,
+                   &DecisionTree::fitReference);
+}
 
 void RandomForestClassifier::fit(const Dataset& data,
                                  const ForestParams& params, util::Rng& rng,

@@ -66,6 +66,15 @@ class RandomForestRegressor {
   std::vector<DecisionTree> trees_;
 };
 
+/// The trees RandomForestClassifier::fit (kClassification) or
+/// RandomForestRegressor::fit (kRegression) grow from the same `rng`,
+/// grown serially with DecisionTree::fitReference: the reference the
+/// forest-fit oracle compares fitted forests against.
+std::vector<DecisionTree> fitReferenceTrees(const Dataset& data,
+                                            TreeTask task,
+                                            const ForestParams& params,
+                                            util::Rng& rng);
+
 /// Forest-level feature importance: mean of the per-tree normalized
 /// impurity decreases, renormalized to sum to 1 — the interpretability
 /// facility the paper credits random forests with ("it can interpret

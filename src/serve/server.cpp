@@ -99,10 +99,12 @@ void Server::handleLine(int fd, std::string_view line) {
     writeResponse(fd, responseForParseFailure(parsed));
     return;
   }
-  if (request.kind == RequestKind::kStats) {
-    // Reading the counters is not a request: the fleet router probes
-    // every shard with `stats` each health tick, and counting those
-    // would pass probes off as client traffic.
+  if (request.kind == RequestKind::kStats ||
+      request.kind == RequestKind::kHealth) {
+    // Reading the counters or the health line is not a request: the
+    // fleet router probes every shard with `stats` each health tick,
+    // a monitor polls `health`, and counting either would pass probes
+    // off as client traffic.
     sendAll(fd, handleControl(request).serialize() + '\n');
     return;
   }

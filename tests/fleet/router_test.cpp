@@ -332,5 +332,35 @@ TEST(RouterTest, HealthProbesAreNotCountedAsShardRequests) {
   shard->drainAndStop();
 }
 
+TEST(RouterTest, HealthLinesAreNotCountedAsRequests) {
+  const std::unique_ptr<serve::Server> shard = bootShard();
+  Router router(fastRouterOptions(), {{shard->port(), {}}});
+  ASSERT_TRUE(router.start().ok());
+  ASSERT_TRUE(awaitAllEligible(router));
+
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(router.port()).ok());
+  ASSERT_EQ(request(client, "predict int_add 0.9 25 300 1 2 3 4").status,
+            ResponseStatus::kOk);
+  const serve::MetricsSnapshot router_before = router.stats();
+  const serve::MetricsSnapshot shard_before = shard->stats();
+  constexpr int kPolls = 25;
+  for (int i = 0; i < kPolls; ++i) {
+    const Response health = request(client, "health");
+    ASSERT_EQ(health.status, ResponseStatus::kOk);
+    EXPECT_NE(health.detail.find("healthy=1"), std::string::npos)
+        << health.detail;
+  }
+  const serve::MetricsSnapshot router_after = router.stats();
+  EXPECT_EQ(router_after.requests, router_before.requests);
+  EXPECT_EQ(router_after.ok, router_before.ok);
+  EXPECT_EQ(router_after.requests, 1U);
+  // The router answers health itself; nothing reaches the shard.
+  EXPECT_EQ(shard->stats().requests, shard_before.requests);
+
+  router.drainAndStop();
+  shard->drainAndStop();
+}
+
 }  // namespace
 }  // namespace tevot::fleet

@@ -92,8 +92,32 @@ TEST(ServerTest, ControlSurface) {
   roundTrip(client, predictLine(0.9, 25, 300, 1, 2, 0, 0));
   const Response stats = roundTrip(client, "stats");
   ASSERT_EQ(stats.status, ResponseStatus::kOk);
-  EXPECT_NE(stats.detail.find("ok=3"), std::string::npos) << stats.detail;
+  // reload and predict count; health, like stats, does not.
+  EXPECT_NE(stats.detail.find("ok=2"), std::string::npos) << stats.detail;
   EXPECT_NE(stats.detail.find("generation=2"), std::string::npos);
+}
+
+TEST(ServerTest, HealthLinesAreNotCountedAsRequests) {
+  Server server(baseOptions());
+  ASSERT_TRUE(server.start().ok());
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(server.port()).ok());
+  ASSERT_EQ(roundTrip(client, predictLine(0.9, 25, 300, 1, 2, 0, 0)).status,
+            ResponseStatus::kOk);
+
+  const MetricsSnapshot before = server.stats();
+  constexpr int kPolls = 25;
+  for (int i = 0; i < kPolls; ++i) {
+    const Response health = roundTrip(client, "health");
+    ASSERT_EQ(health.status, ResponseStatus::kOk);
+    EXPECT_NE(health.detail.find("status=serving"), std::string::npos);
+  }
+  const MetricsSnapshot after = server.stats();
+  EXPECT_EQ(after.requests, before.requests);
+  EXPECT_EQ(after.ok, before.ok);
+  EXPECT_EQ(after.requests, 1U);
+  EXPECT_EQ(after.requests,
+            after.ok + after.shed + after.deadline + after.errors);
 }
 
 TEST(ServerTest, WireAbuseGetsTypedErrorsAndConnectionSurvives) {

@@ -83,6 +83,7 @@
 
 #include "check/dvfs_oracle.hpp"
 #include "check/flat_oracle.hpp"
+#include "check/forest_fit_oracle.hpp"
 #include "check/fleet_oracle.hpp"
 #include "check/golden.hpp"
 #include "check/oracles.hpp"
@@ -382,6 +383,10 @@ int cmdCheck(Cli& cli) {
   properties.emplace_back("model-round-trip", check::checkModelRoundTrip);
   properties.emplace_back("flat-forest/bit-identity",
                           check::checkFlatForestBitIdentity);
+  properties.emplace_back("forest-fit/bit-identity",
+                          check::checkForestFitBitIdentity);
+  properties.emplace_back("forest-fit/tevot-rows",
+                          check::checkForestFitOnTevotRows);
   properties.emplace_back("sweep/fault-tolerance",
                           check::checkSweepFaultTolerance);
   properties.emplace_back("serve/resilience", check::checkServeResilience);
