@@ -6,9 +6,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "dta/trace_io.hpp"
+#include "util/backoff.hpp"
 
 namespace tevot::dta {
 
@@ -216,11 +216,8 @@ SweepResult runSweep(std::span<const CharacterizeJob> jobs,
         outcome.duration_ms += msSince(start);
         outcome.status = util::statusFromException(std::current_exception());
       }
-      if (attempt < max_attempts && options.backoff_ms > 0.0) {
-        const double backoff =
-            options.backoff_ms * static_cast<double>(1 << (attempt - 1));
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(static_cast<long>(backoff * 1000.0)));
+      if (attempt < max_attempts) {
+        util::sleepMs(util::backoffMs(options.backoff_ms, 2.0, attempt - 1));
       }
     }
 

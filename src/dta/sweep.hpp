@@ -73,6 +73,7 @@ struct SweepResult {
 struct SweepOptions {
   int max_retries = 2;          ///< extra attempts after the first
   double backoff_ms = 5.0;      ///< first retry delay; doubles per retry
+                                ///< (util::backoffMs, growth 2, no cap)
   double job_deadline_ms = 0.0; ///< per-attempt wall-clock budget; 0 = none
   bool fail_fast = false;       ///< first final failure cancels the rest
   std::string checkpoint_dir;   ///< empty = no checkpointing

@@ -1,11 +1,11 @@
 #include "dta/trace_io.hpp"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "util/number.hpp"
 #include "util/status.hpp"
 
 namespace tevot::dta {
@@ -28,22 +28,17 @@ std::string hexDouble(double value) {
 }
 
 double parseHexDouble(const std::string& token, const char* context) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
+  double value = 0.0;
+  if (!util::parseFinite(token, &value)) {
     parseFail(std::string("bad number '") + token + "' in " + context);
-  }
-  if (!std::isfinite(value)) {
-    parseFail(std::string("non-finite number '") + token + "' in " + context);
   }
   return value;
 }
 
-std::uint64_t parseU64(const std::string& token, const char* context) {
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
+template <typename T = std::uint64_t>
+T parseInt(const std::string& token, const char* context) {
+  T value = 0;
+  if (!util::parseWhole(token, &value)) {
     parseFail(std::string("bad integer '") + token + "' in " + context);
   }
   return value;
@@ -107,33 +102,31 @@ DtaTrace readTrace(std::istream& is) {
   if (!std::getline(is, line)) parseFail("unexpected EOF in workload name");
   trace.workload_name = line.empty() ? line : line.substr(1);
   expectToken(is, "sim_events");
-  trace.sim_events = parseU64(nextToken(is, "sim_events"), "sim_events");
+  trace.sim_events = parseInt(nextToken(is, "sim_events"), "sim_events");
   expectToken(is, "samples");
   const std::uint64_t count =
-      parseU64(nextToken(is, "sample count"), "sample count");
-  trace.samples.reserve(count);
+      parseInt(nextToken(is, "sample count"), "sample count");
+  // Each sample is read before it is stored, so a count that the body
+  // does not back fails as truncation instead of sizing an allocation.
   for (std::uint64_t i = 0; i < count; ++i) {
     DtaSample s;
-    s.a = static_cast<std::uint32_t>(parseU64(nextToken(is, "a"), "a"));
-    s.b = static_cast<std::uint32_t>(parseU64(nextToken(is, "b"), "b"));
-    s.prev_a =
-        static_cast<std::uint32_t>(parseU64(nextToken(is, "prev_a"), "prev_a"));
-    s.prev_b =
-        static_cast<std::uint32_t>(parseU64(nextToken(is, "prev_b"), "prev_b"));
+    s.a = parseInt<std::uint32_t>(nextToken(is, "a"), "a");
+    s.b = parseInt<std::uint32_t>(nextToken(is, "b"), "b");
+    s.prev_a = parseInt<std::uint32_t>(nextToken(is, "prev_a"), "prev_a");
+    s.prev_b = parseInt<std::uint32_t>(nextToken(is, "prev_b"), "prev_b");
     s.delay_ps = parseHexDouble(nextToken(is, "delay_ps"), "delay_ps");
-    s.start_word = parseU64(nextToken(is, "start_word"), "start_word");
-    s.settled_word = parseU64(nextToken(is, "settled_word"), "settled_word");
+    s.start_word = parseInt(nextToken(is, "start_word"), "start_word");
+    s.settled_word = parseInt(nextToken(is, "settled_word"), "settled_word");
     const std::uint64_t toggles =
-        parseU64(nextToken(is, "toggle count"), "toggle count");
-    s.toggles.reserve(toggles);
+        parseInt(nextToken(is, "toggle count"), "toggle count");
     for (std::uint64_t t = 0; t < toggles; ++t) {
       sim::ToggleEvent event{};
       event.time_ps =
           parseHexDouble(nextToken(is, "toggle time"), "toggle time");
-      event.output_bit = static_cast<std::uint32_t>(
-          parseU64(nextToken(is, "toggle bit"), "toggle bit"));
+      event.output_bit = parseInt<std::uint32_t>(
+          nextToken(is, "toggle bit"), "toggle bit");
       event.value =
-          parseU64(nextToken(is, "toggle value"), "toggle value") != 0;
+          parseInt(nextToken(is, "toggle value"), "toggle value") != 0;
       s.toggles.push_back(event);
     }
     trace.samples.push_back(std::move(s));

@@ -12,8 +12,8 @@
 #include <string_view>
 #include <thread>
 
-#include "util/flags.hpp"
 #include "util/log.hpp"
+#include "util/number.hpp"
 
 namespace tevot::fleet {
 

@@ -2,12 +2,13 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/number.hpp"
 
 namespace tevot::liberty {
 namespace {
@@ -102,23 +103,13 @@ class LibertyLexer {
 };
 
 double parseNumber(const std::string& token, const std::string& context) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(token, &consumed);
-    if (consumed != token.size()) throw std::invalid_argument(token);
-    // Reject "nan"/"inf", which stod accepts: a library carrying a
-    // non-finite delay or sensitivity is corrupt.
-    if (!std::isfinite(value)) {
-      throw std::runtime_error("Liberty parse error: non-finite number '" +
-                               token + "' for " + context);
-    }
-    return value;
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception&) {
+  // A library carrying a non-finite delay or sensitivity is corrupt.
+  double value = 0.0;
+  if (!util::parseFinite(token, &value)) {
     throw std::runtime_error("Liberty parse error: bad number '" + token +
                              "' for " + context);
   }
+  return value;
 }
 
 }  // namespace

@@ -25,19 +25,23 @@ DecisionTree readTreeBlock(std::istream& is, const char* who) {
   if (!(is >> keyword >> n_nodes) || keyword != "tree") {
     throw std::runtime_error(std::string(who) + ": expected tree header");
   }
-  std::vector<DecisionTree::Node> nodes(n_nodes);
-  for (DecisionTree::Node& node : nodes) {
+  // Containers grow from what is read, never from a header count, so
+  // a count the body does not back fails as truncation.
+  std::vector<DecisionTree::Node> nodes;
+  const auto in_range = [n_nodes](std::int32_t child) {
+    return child >= 0 && static_cast<std::size_t>(child) < n_nodes;
+  };
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    DecisionTree::Node node;
     if (!(is >> node.feature >> node.threshold >> node.left >>
           node.right >> node.value)) {
       throw std::runtime_error(std::string(who) + ": truncated node list");
     }
-    const auto count = static_cast<std::int32_t>(n_nodes);
-    const bool leaf = node.feature < 0;
-    if (!leaf && (node.left < 0 || node.left >= count ||
-                  node.right < 0 || node.right >= count)) {
+    if (node.feature >= 0 && (!in_range(node.left) || !in_range(node.right))) {
       throw std::runtime_error(std::string(who) +
                                ": child index out of range");
     }
+    nodes.push_back(node);
   }
   if (nodes.empty()) {
     throw std::runtime_error(std::string(who) + ": empty tree");
@@ -67,7 +71,6 @@ std::vector<DecisionTree> readTrees(std::istream& is,
                              task + ")");
   }
   std::vector<DecisionTree> trees;
-  trees.reserve(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) {
     trees.push_back(readTreeBlock(is, "loadForest"));
   }
@@ -88,12 +91,14 @@ std::vector<float> readFloats(std::istream& is, const char* key,
     throw std::runtime_error(std::string(who) + ": expected '" + key +
                              "' line");
   }
-  std::vector<float> values(count);
-  for (float& value : values) {
+  std::vector<float> values;
+  float value = 0.0f;
+  while (values.size() < count) {
     if (!(is >> value)) {
       throw std::runtime_error(std::string(who) + ": truncated '" + key +
                                "' line");
     }
+    values.push_back(value);
   }
   return values;
 }
@@ -176,17 +181,21 @@ KnnClassifier loadKnn(std::istream& is) {
     throw std::runtime_error("loadKnn: degenerate dimensions");
   }
   StandardScaler scaler = readScaler(is, cols, "loadKnn");
-  Matrix train(rows, cols);
-  std::vector<float> labels(rows);
+  Matrix train;
+  std::vector<float> labels;
+  std::vector<float> row;
+  float value = 0.0f;
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (!(is >> train.at(r, c))) {
+    row.clear();
+    while (row.size() <= cols) {  // cols features, then the label
+      if (!(is >> value)) {
         throw std::runtime_error("loadKnn: truncated training rows");
       }
+      row.push_back(value);
     }
-    if (!(is >> labels[r])) {
-      throw std::runtime_error("loadKnn: truncated training rows");
-    }
+    labels.push_back(row.back());
+    row.pop_back();
+    train.appendRow(row);
   }
   KnnClassifier knn;
   knn.setState(k, std::move(scaler), std::move(train), std::move(labels));

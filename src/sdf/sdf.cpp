@@ -2,12 +2,14 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/number.hpp"
 
 namespace tevot::sdf {
 namespace {
@@ -95,24 +97,14 @@ class Lexer {
 };
 
 double parseDouble(const std::string& tok, const char* context) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(tok, &consumed);
-    if (consumed != tok.size()) throw std::invalid_argument(tok);
-    // stod happily parses "nan" and "inf"; a delay file carrying
-    // either is garbage, never a valid annotation.
-    if (!std::isfinite(value)) {
-      throw std::runtime_error(
-          std::string("SDF parse error: non-finite number '") + tok +
-          "' in " + context);
-    }
-    return value;
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception&) {
+  // A delay file carrying "nan" or "inf" is garbage, never a valid
+  // annotation.
+  double value = 0.0;
+  if (!util::parseFinite(tok, &value)) {
     throw std::runtime_error(std::string("SDF parse error: bad number '") +
                              tok + "' in " + context);
   }
+  return value;
 }
 
 /// Parses "(v:v:v)" with the opening paren already consumed by caller
@@ -235,19 +227,9 @@ liberty::CornerDelays parseSdf(std::istream& is, const netlist::Netlist& nl) {
       lex.expectToken("INSTANCE");
       const std::string instance = lex.expect("instance name");
       lex.expectToken(")");
-      if (instance.size() < 2 || instance[0] != 'g') {
-        throw std::runtime_error("SDF parse error: bad instance '" +
-                                 instance + "'");
-      }
       netlist::GateId gate_id = 0;
-      try {
-        std::size_t consumed = 0;
-        const unsigned long parsed = std::stoul(instance.substr(1), &consumed);
-        if (consumed != instance.size() - 1) {
-          throw std::invalid_argument(instance);
-        }
-        gate_id = static_cast<netlist::GateId>(parsed);
-      } catch (const std::exception&) {
+      if (instance.empty() || instance[0] != 'g' ||
+          !util::parseWhole(std::string_view(instance).substr(1), &gate_id)) {
         throw std::runtime_error("SDF parse error: bad instance '" +
                                  instance + "'");
       }

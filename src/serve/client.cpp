@@ -4,13 +4,11 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "serve/line_server.hpp"
+#include "util/backoff.hpp"
 
 namespace tevot::serve {
 
@@ -57,13 +55,10 @@ util::Status LineClient::reconnect(const ReconnectPolicy& policy) {
   }
   close();
   util::Status last = util::Status::ioError("reconnect: zero attempts");
-  double backoff_ms = policy.initial_backoff_ms;
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (attempt > 0 && backoff_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(backoff_ms));
-      backoff_ms = std::min(backoff_ms * policy.growth,
-                            policy.max_backoff_ms);
+    if (attempt > 0) {
+      util::sleepMs(util::backoffMs(policy.initial_backoff_ms, policy.growth,
+                                    attempt - 1, policy.max_backoff_ms));
     }
     last = connectTo(last_port_, last_recv_timeout_ms_);
     if (last.ok()) return last;

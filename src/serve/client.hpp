@@ -10,10 +10,10 @@
 
 namespace tevot::serve {
 
-/// Bounded-backoff schedule for LineClient::reconnect(). The waits
-/// are deterministic (no jitter) so a controller retrying through a
-/// fault storm stays exactly reproducible: attempt k sleeps
-/// min(initial_backoff_ms * growth^k, max_backoff_ms) before dialing.
+/// Bounded-backoff schedule for LineClient::reconnect(): before retry
+/// k (k = 0 for the first) it sleeps util::backoffMs(initial_backoff_ms,
+/// growth, k, max_backoff_ms), that is
+/// min(initial_backoff_ms * growth^k, max_backoff_ms).
 struct ReconnectPolicy {
   int max_attempts = 5;
   double initial_backoff_ms = 1.0;

@@ -1,13 +1,11 @@
 #include "serve/metrics.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
+
+#include "util/number.hpp"
 
 namespace tevot::serve {
 
@@ -83,27 +81,6 @@ void MetricsSnapshot::refreshLatencyFields() {
   latency_count = latency.count();
 }
 
-namespace {
-
-bool parseU64(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || errno == ERANGE) return false;
-  *out = value;
-  return true;
-}
-
-bool parseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text) return false;
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
 bool parseMetricsLine(std::string_view line, MetricsSnapshot* out) {
   MetricsSnapshot snap;
   bool saw_requests = false;
@@ -124,77 +101,76 @@ bool parseMetricsLine(std::string_view line, MetricsSnapshot* out) {
       if (saw_requests || !buckets.empty()) return false;
       continue;
     }
-    const std::string key(token.substr(0, eq));
-    const std::string value(token.substr(eq + 1));
-    std::uint64_t u64 = 0;
+    const std::string_view key = token.substr(0, eq);
+    const std::string_view value = token.substr(eq + 1);
+    const auto count = [value](auto* out) {
+      return util::parseWhole(value, out);
+    };
+    const auto real = [value](double* out) {
+      return util::parseFinite(value, out);
+    };
     if (key == "requests") {
-      if (!parseU64(value.c_str(), &snap.requests)) return false;
+      if (!count(&snap.requests)) return false;
       saw_requests = true;
     } else if (key == "ok") {
-      if (!parseU64(value.c_str(), &snap.ok)) return false;
+      if (!count(&snap.ok)) return false;
     } else if (key == "shed") {
-      if (!parseU64(value.c_str(), &snap.shed)) return false;
+      if (!count(&snap.shed)) return false;
     } else if (key == "deadline") {
-      if (!parseU64(value.c_str(), &snap.deadline)) return false;
+      if (!count(&snap.deadline)) return false;
     } else if (key == "errors") {
-      if (!parseU64(value.c_str(), &snap.errors)) return false;
+      if (!count(&snap.errors)) return false;
     } else if (key == "connections") {
-      if (!parseU64(value.c_str(), &snap.connections)) return false;
+      if (!count(&snap.connections)) return false;
     } else if (key == "dropped") {
-      if (!parseU64(value.c_str(), &snap.connections_dropped)) return false;
+      if (!count(&snap.connections_dropped)) return false;
     } else if (key == "queue") {
       const std::size_t slash = value.find('/');
-      if (slash == std::string::npos) return false;
-      std::uint64_t depth = 0;
-      std::uint64_t capacity = 0;
-      if (!parseU64(value.substr(0, slash).c_str(), &depth) ||
-          !parseU64(value.substr(slash + 1).c_str(), &capacity)) {
+      if (slash == std::string_view::npos ||
+          !util::parseWhole(value.substr(0, slash), &snap.queue_depth) ||
+          !util::parseWhole(value.substr(slash + 1), &snap.queue_capacity)) {
         return false;
       }
-      snap.queue_depth = static_cast<std::size_t>(depth);
-      snap.queue_capacity = static_cast<std::size_t>(capacity);
     } else if (key == "breakers_open") {
-      if (!parseU64(value.c_str(), &u64)) return false;
-      snap.breakers_open = static_cast<std::size_t>(u64);
+      if (!count(&snap.breakers_open)) return false;
     } else if (key == "breaker_opens") {
-      if (!parseU64(value.c_str(), &snap.breaker_opens)) return false;
+      if (!count(&snap.breaker_opens)) return false;
     } else if (key == "reloads") {
-      if (!parseU64(value.c_str(), &snap.reloads)) return false;
+      if (!count(&snap.reloads)) return false;
     } else if (key == "reload_failures") {
-      if (!parseU64(value.c_str(), &snap.reload_failures)) return false;
+      if (!count(&snap.reload_failures)) return false;
     } else if (key == "generation") {
-      if (!parseU64(value.c_str(), &snap.generation)) return false;
+      if (!count(&snap.generation)) return false;
     } else if (key == "p50_ms") {
-      if (!parseDouble(value.c_str(), &snap.p50_ms)) return false;
+      if (!real(&snap.p50_ms)) return false;
     } else if (key == "p95_ms") {
-      if (!parseDouble(value.c_str(), &snap.p95_ms)) return false;
+      if (!real(&snap.p95_ms)) return false;
     } else if (key == "p99_ms") {
-      if (!parseDouble(value.c_str(), &snap.p99_ms)) return false;
+      if (!real(&snap.p99_ms)) return false;
     } else if (key == "max_ms") {
-      if (!parseDouble(value.c_str(), &snap.max_ms)) return false;
+      if (!real(&snap.max_ms)) return false;
     } else if (key == "latency_count") {
-      if (!parseU64(value.c_str(), &snap.latency_count)) return false;
+      if (!count(&snap.latency_count)) return false;
     } else if (key == "lat_min") {
-      if (!parseDouble(value.c_str(), &lat_min)) return false;
+      if (!real(&lat_min)) return false;
     } else if (key == "lat_max") {
-      if (!parseDouble(value.c_str(), &lat_max)) return false;
+      if (!real(&lat_max)) return false;
     } else if (key == "lat_hist") {
       if (value == "-") continue;
       std::size_t offset = 0;
       while (offset < value.size()) {
         std::size_t comma = value.find(',', offset);
-        if (comma == std::string::npos) comma = value.size();
-        const std::string entry = value.substr(offset, comma - offset);
+        if (comma == std::string_view::npos) comma = value.size();
+        const std::string_view entry = value.substr(offset, comma - offset);
         const std::size_t colon = entry.find(':');
-        if (colon == std::string::npos) return false;
-        std::uint64_t bucket = 0;
-        std::uint64_t count = 0;
-        if (!parseU64(entry.substr(0, colon).c_str(), &bucket) ||
-            !parseU64(entry.substr(colon + 1).c_str(), &count)) {
+        std::size_t bucket = 0;
+        std::size_t samples = 0;
+        if (colon == std::string_view::npos ||
+            !util::parseWhole(entry.substr(0, colon), &bucket) ||
+            !util::parseWhole(entry.substr(colon + 1), &samples)) {
           return false;
         }
-        buckets.emplace_back(static_cast<std::size_t>(bucket),
-                             static_cast<std::size_t>(count));
+        buckets.emplace_back(bucket, samples);
         offset = comma + 1;
       }
     }

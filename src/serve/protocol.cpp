@@ -1,10 +1,9 @@
 #include "serve/protocol.hpp"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
+
+#include "util/number.hpp"
 
 namespace tevot::serve {
 namespace {
@@ -23,31 +22,6 @@ std::vector<std::string_view> tokenize(std::string_view line) {
     if (pos > start) tokens.push_back(line.substr(start, pos - start));
   }
   return tokens;
-}
-
-/// Entire-token finite double; false on trailing junk, NaN and inf.
-bool parseFiniteDouble(std::string_view token, double* out) {
-  const std::string text(token);
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return false;
-  if (!std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
-/// 32-bit operand, base 0 (0x hex accepted), entire token.
-bool parseWord32(std::string_view token, std::uint32_t* out) {
-  const std::string text(token);
-  if (!text.empty() && (text[0] == '-' || text[0] == '+')) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
-  if (value > 0xffffffffull) return false;
-  *out = static_cast<std::uint32_t>(value);
-  return true;
 }
 
 }  // namespace
@@ -177,7 +151,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
       {"tclk_ps", tokens[4], &out->tclk_ps},
   };
   for (const Field& field : doubles) {
-    if (!parseFiniteDouble(field.token, field.value)) {
+    if (!util::parseFinite(field.token, field.value)) {
       return util::Status::invalidArgument(
           std::string(field.name) + " '" + std::string(field.token) +
           "' is not a finite number");
@@ -187,7 +161,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
   std::size_t tuples_at = 5;  // first tuple token index
   if (is_batch) {
     std::uint32_t n = 0;
-    if (!parseWord32(tokens[5], &n)) {
+    if (!util::parsePrefixed(tokens[5], &n)) {
       return util::Status::invalidArgument(
           "n '" + std::string(tokens[5]) + "' is not a batch size");
     }
@@ -217,7 +191,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
                                     &operand.prev_a, &operand.prev_b};
     for (std::size_t w = 0; w < 4; ++w) {
       const std::string_view token = tokens[tuples_at + 4 * tuple + w];
-      if (!parseWord32(token, slots[w])) {
+      if (!util::parsePrefixed(token, slots[w])) {
         return util::Status::invalidArgument(
             std::string(tuple_names[w]) + " '" + std::string(token) +
             "' in tuple " + std::to_string(tuple) +
@@ -235,7 +209,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
   }
   out->deadline_ms = 0.0;
   if (tokens.size() == after_tuples + 1 &&
-      (!parseFiniteDouble(tokens[after_tuples], &out->deadline_ms) ||
+      (!util::parseFinite(tokens[after_tuples], &out->deadline_ms) ||
        out->deadline_ms < 0.0)) {
     return util::Status::invalidArgument(
         "deadline_ms '" + std::string(tokens[after_tuples]) +
@@ -297,7 +271,7 @@ bool parseResponse(std::string_view line, Response* out) {
     if (tokens.size() == 3 && tokens[1].substr(0, 6) == "delay=" &&
         tokens[2].substr(0, 4) == "err=") {
       double delay = 0.0;
-      if (!parseFiniteDouble(tokens[1].substr(6), &delay)) return false;
+      if (!util::parseFinite(tokens[1].substr(6), &delay)) return false;
       const std::string_view err = tokens[2].substr(4);
       if (err != "0" && err != "1") return false;
       out->delay_ps = delay;

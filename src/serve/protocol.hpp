@@ -10,10 +10,11 @@
 //   health
 //   stats
 //   reload
-// Operands accept 0x-prefixed hex; V/T/tclk/deadline are decimal or
-// hexfloat doubles and must be finite (NaN/inf are BAD_REQUEST, never
-// a crash or a silent wrong answer); tclk must be > 0 and deadline
-// >= 0 (0 = server default).
+// Operands are 32-bit words in decimal, 0x hex or 0-prefixed octal;
+// V/T/tclk/deadline are decimal or hexfloat doubles and must be
+// finite (NaN/inf are BAD_REQUEST, never a crash or a silent wrong
+// answer); tclk must be > 0 and deadline >= 0 (0 = server default).
+// Every number is read by the grammar of util/number.hpp.
 //
 // predictN is the batch form: n operand tuples sharing one corner,
 // clock, and deadline, answered with exactly n typed response lines
@@ -37,8 +38,8 @@
 //   DEADLINE <detail>                     per-request deadline exceeded
 //   ERROR <CODE> <detail>                 typed failure, see ErrorCode
 //
-// delay is printed with printf %a (hexfloat), so a client parsing it
-// with strtod recovers the server's double bit-for-bit — the property
+// delay is printed with printf %a (hexfloat), so parseResponse
+// recovers the server's double bit-for-bit — the property
 // check::checkServeResilience pins against offline evaluation.
 #pragma once
 

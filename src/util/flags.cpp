@@ -7,28 +7,11 @@
 namespace tevot::util {
 
 ValueParser seed(std::uint64_t* out) {
-  return [out](std::string_view text) {
-    int base = 10;
-    if (text.size() > 1 && text[0] == '0') {
-      base = (text[1] == 'x' || text[1] == 'X') ? 16 : 8;
-      text.remove_prefix(base == 16 ? 2 : 1);
-    }
-    std::uint64_t value = 0;
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
-    const bool ok = !text.empty() && ec == std::errc() && ptr == end;
-    if (ok) *out = value;
-    return ok;
-  };
+  return [out](std::string_view text) { return parsePrefixed(text, out); };
 }
 
 ValueParser word(std::uint32_t* out) {
-  return [out](std::string_view text) {
-    std::uint64_t value = 0;
-    const bool ok = seed(&value)(text) && value <= 0xffffffffu;
-    if (ok) *out = static_cast<std::uint32_t>(value);
-    return ok;
-  };
+  return [out](std::string_view text) { return parsePrefixed(text, out); };
 }
 
 ValueParser text(std::string* out) {

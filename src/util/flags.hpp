@@ -2,14 +2,14 @@
 //
 // A tool declares each option once (its name and a value parser that
 // checks type and range, then stores), its positionals in order, and
-// any environment knobs, then calls Flags::parse. Numbers parse whole through std::from_chars:
-// trailing junk, an empty string, a leading '+', a '-' on an unsigned
-// value, overflow, NaN and infinity are refused, never coerced. `--name=value` equals
+// any environment knobs, then calls Flags::parse. Numbers follow the
+// grammar of util/number.hpp, and a double must also be finite: junk,
+// a leading '+', a '-' on an unsigned value, overflow, NaN and
+// infinity are refused, never coerced. `--name=value` equals
 // `--name value`; a repeated option keeps its last value. A token that
 // starts with '-' and a non-digit is an option, so "-25" is a number.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -17,22 +17,12 @@
 #include <string_view>
 #include <vector>
 
+#include "util/number.hpp"
+
 namespace tevot::util {
 
 /// Largest --jobs / TEVOT_JOBS value (0 = one job per hardware thread).
 inline constexpr std::size_t kMaxJobs = 1024;
-
-/// Parses all of `text` as T (an integer or double); writes *out only
-/// on success.
-template <typename T>
-bool parseWhole(std::string_view text, T* out) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) return false;
-  *out = value;
-  return true;
-}
 
 /// Checks one value and stores it; false refuses it.
 using ValueParser = std::function<bool(std::string_view)>;
@@ -67,8 +57,8 @@ inline ValueParser positive(double* out) {
 }
 inline ValueParser fraction(double* out) { return inRange(out, 0.0, 1.0); }
 
-/// An unsigned integer in strtoull(..., 0) bases ("0x" hex, a leading
-/// 0 octal, else decimal), whole, with no sign or whitespace.
+/// An unsigned integer in parsePrefixed's bases ("0x" hex, a leading
+/// 0 octal, else decimal).
 ValueParser seed(std::uint64_t* out);
 ValueParser word(std::uint32_t* out);  ///< seed's syntax, < 2^32
 ValueParser text(std::string* out);    ///< any string

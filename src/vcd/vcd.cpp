@@ -3,6 +3,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/number.hpp"
 
 namespace tevot::vcd {
 namespace {
@@ -134,13 +137,7 @@ VcdData parseVcd(std::istream& is) {
     } else if (tok == "$dumpvars" || tok == "$end") {
       // Initial-value section markers; values inside are parsed below.
     } else if (!tok.empty() && tok[0] == '#') {
-      // stoull would throw a bare std::invalid_argument (or accept
-      // trailing garbage) on a corrupt timestamp; keep the error typed.
-      try {
-        std::size_t consumed = 0;
-        now = std::stoull(tok.substr(1), &consumed);
-        if (consumed != tok.size() - 1) throw std::invalid_argument(tok);
-      } catch (const std::exception&) {
+      if (!util::parseWhole(std::string_view(tok).substr(1), &now)) {
         throw std::runtime_error("VCD parse error: bad timestamp '" + tok +
                                  "'");
       }

@@ -3,13 +3,15 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "util/number.hpp"
 
 namespace tevot::verify {
 
@@ -184,10 +186,8 @@ class JsonParser {
           // The writer only emits \u00XX control escapes; decode the
           // low byte and reject anything wider than Latin-1.
           if (pos_ + 4 > input_.size()) fail("truncated \\u escape");
-          char* end = nullptr;
-          const std::string hex(input_.substr(pos_, 4));
-          const long code = std::strtol(hex.c_str(), &end, 16);
-          if (end != hex.c_str() + 4 || code < 0 || code > 0xff) {
+          std::uint8_t code = 0;
+          if (!util::parseWhole(input_.substr(pos_, 4), &code, 16)) {
             fail("unsupported \\u escape");
           }
           pos_ += 4;
@@ -209,13 +209,11 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
-    const std::string text(input_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || errno == ERANGE) {
+    const std::string_view text = input_.substr(start, pos_ - start);
+    double value = 0.0;
+    if (!util::parseWhole(text, &value)) {
       pos_ = start;
-      fail("malformed number '" + text + "'");
+      fail("malformed number '" + std::string(text) + "'");
     }
     return value;
   }

@@ -88,6 +88,40 @@ TEST_F(MalformedSdfTest, BadInstanceNumbersAreRejected) {
                    "(INSTANCE g999999999)))",
                    context_.netlist()),
                std::runtime_error);
+  // In an otherwise valid file: 2^32 must not wrap to gate 0, and an
+  // instance number takes no sign.
+  ASSERT_NE(sdf_text_.find("(INSTANCE g0)"), std::string::npos);
+  for (const char* instance : {"g4294967296", "g+0", "g-0"}) {
+    std::string mutated = sdf_text_;
+    mutated.replace(mutated.find("(INSTANCE g0)"), 13,
+                    std::string("(INSTANCE ") + instance + ")");
+    EXPECT_THROW(sdf::parseSdfString(mutated, context_.netlist()),
+                 std::runtime_error)
+        << instance;
+  }
+}
+
+TEST_F(MalformedSdfTest, SignedOrUnderflowingNumbersAreRejected) {
+  // An IOPATH delay inside an otherwise valid file: '+' and a real
+  // that underflows to zero are refused, a hexfloat is read.
+  const std::size_t iopath = sdf_text_.find("(IOPATH * ");
+  ASSERT_NE(iopath, std::string::npos);
+  const std::size_t open = sdf_text_.find('(', iopath + 10);
+  const std::size_t close = sdf_text_.find(')', open);
+  ASSERT_NE(close, std::string::npos);
+  const auto with_delay = [&](const std::string& triple) {
+    std::string mutated = sdf_text_;
+    mutated.replace(open, close - open + 1, triple);
+    return mutated;
+  };
+  EXPECT_THROW(sdf::parseSdfString(with_delay("(+1:+1:+1)"),
+                                   context_.netlist()),
+               std::runtime_error);
+  EXPECT_THROW(sdf::parseSdfString(with_delay("(1e-400:1e-400:1e-400)"),
+                                   context_.netlist()),
+               std::runtime_error);
+  EXPECT_NO_THROW(sdf::parseSdfString(with_delay("(0x1p+4:0x1p+4:0x1p+4)"),
+                                      context_.netlist()));
 }
 
 class MalformedLibertyTest : public testing::Test {
@@ -131,6 +165,9 @@ TEST_F(MalformedLibertyTest, NonFiniteNumbersAreRejected) {
       liberty::parseLibertyString(
           "library (x) { nom_voltage : 0.9abc ; }"),
       std::runtime_error);
+  EXPECT_THROW(
+      liberty::parseLibertyString("library (x) { nom_voltage : +0.9 ; }"),
+      std::runtime_error);
 }
 
 TEST(MalformedVcdTest, EmptyAndGarbageAreTypedErrors) {
@@ -151,6 +188,9 @@ TEST(MalformedVcdTest, BadTimestampsAreTypedErrors) {
   EXPECT_THROW(vcd::parseVcdString(header + "#99999999999999999999999 1!"),
                std::runtime_error);
   EXPECT_NO_THROW(vcd::parseVcdString(header + "#5 1!"));
+  // A negative time is not 2^64 - 1, and a time takes no sign.
+  EXPECT_THROW(vcd::parseVcdString(header + "#-1 1!"), std::runtime_error);
+  EXPECT_THROW(vcd::parseVcdString(header + "#+5 1!"), std::runtime_error);
 }
 
 TEST(MalformedVcdTest, ChangesBeforeDefinitionsOrUnknownSignalsFail) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -85,6 +87,57 @@ TEST(TraceIoTest, GarbageAndNonFiniteAreParseErrors) {
   EXPECT_EQ(parseCodeOf("tevot-dtatrace v1\ncorner 0x1p0 0x1p0\n"
                         "workload w\nsim_events 0\nsamples zzz\nend\n"),
             StatusCode::kParseError);
+  const std::string head =
+      "tevot-dtatrace v1\ncorner 0x1p0 0x1p0\nworkload w\nsim_events 0\n";
+  // Operands are 32-bit: 2^32 + 1 is not read as 1, nor -1 as 2^32 - 1.
+  EXPECT_EQ(parseCodeOf(head + "samples 1\n4294967297 0 0 0 0x1p0 0 0 0\n"
+                               "end\n"),
+            StatusCode::kParseError);
+  EXPECT_EQ(parseCodeOf(head + "samples 1\n-1 0 0 0 0x1p0 0 0 0\nend\n"),
+            StatusCode::kParseError);
+  // No '+', and no real that underflows to zero.
+  EXPECT_EQ(parseCodeOf(head + "samples +0\nend\n"),
+            StatusCode::kParseError);
+  EXPECT_EQ(parseCodeOf(head + "samples 1\n0 0 0 0 1e-400 0 0 0\nend\n"),
+            StatusCode::kParseError);
+}
+
+TEST(TraceIoTest, HugeCountsAreTruncationNotAllocations) {
+  // Counts the body does not back fail as a typed parse error, without
+  // sizing a container from the header.
+  const std::string head =
+      "tevot-dtatrace v1\ncorner 0x1p0 0x1p0\nworkload w\nsim_events 0\n";
+  for (const char* count : {"18446744073709551615", "1000000000000"}) {
+    EXPECT_EQ(parseCodeOf(head + "samples " + count + "\nend\n"),
+              StatusCode::kParseError)
+        << count;
+    EXPECT_EQ(parseCodeOf(head + "samples 1\n0 0 0 0 0x1p0 0 0 " + count +
+                          " 0x1p0 0 1\nend\n"),
+              StatusCode::kParseError)
+        << count;
+  }
+}
+
+TEST(TraceIoTest, GoldenDoublesRoundTripBitExactly) {
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const double value : {0.0, -0.0, DBL_TRUE_MIN, 1e-310, 0.87,
+                             1.0 / 3.0, -1.5, DBL_MAX}) {
+    DtaTrace trace;
+    trace.corner = {value, value};
+    DtaSample sample;
+    sample.delay_ps = value;
+    sample.toggles.push_back({value, 0, true});
+    trace.samples.push_back(sample);
+    const DtaTrace back = traceFromString(traceToString(trace));
+    ASSERT_EQ(back.samples.size(), 1u);
+    ASSERT_EQ(back.samples[0].toggles.size(), 1u);
+    EXPECT_TRUE(same(back.corner.voltage, value)) << value;
+    EXPECT_TRUE(same(back.corner.temperature, value)) << value;
+    EXPECT_TRUE(same(back.samples[0].delay_ps, value)) << value;
+    EXPECT_TRUE(same(back.samples[0].toggles[0].time_ps, value)) << value;
+  }
 }
 
 TEST(TraceIoTest, MissingFileIsIoErrorWithPathAndErrno) {

@@ -167,7 +167,14 @@ TEST(RouterTest, NoEligibleShardIsTypedShedNeverSilence) {
             ResponseStatus::kOk);
 
   // Evict the only shard: every subsequent predict must still get a
-  // typed response line (SHED), and a batch gets n of them.
+  // typed response line (SHED), and a batch gets n of them. Draining
+  // the shard first makes every later health probe fail; waiting for
+  // the probes to evict it means no probe that succeeded before the
+  // drain can set the shard up again after markShardDown.
+  shards[0]->drainAndStop();
+  for (int i = 0; i < 500 && router.shardEligible(0); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   router.markShardDown(0);
   EXPECT_FALSE(router.shardEligible(0));
   const Response shed = request(client, "predict int_add 0.9 25 300 1 2 3 4");

@@ -93,6 +93,20 @@ TEST(SerializeTest, MalformedInputRejected) {
                            "0 0.5 5 6 0\n");
     EXPECT_THROW(loadForestClassifier(bad), std::runtime_error);
   }
+  {
+    // Tree and node counts the body does not back are truncation,
+    // never a container sized from the header.
+    std::istringstream bad(
+        "tevot-forest v1 classifier 18446744073709551615\ntree 1\n"
+        "-1 0 -1 -1 1.0\n");
+    EXPECT_THROW(loadForestClassifier(bad), std::runtime_error);
+  }
+  {
+    std::istringstream bad(
+        "tevot-forest v1 classifier 1\ntree 18446744073709551615\n"
+        "-1 0 -1 -1 1.0\n");
+    EXPECT_THROW(loadForestClassifier(bad), std::runtime_error);
+  }
 }
 
 TEST(SerializeTest, SingleTreeRoundTripIsByteIdentical) {
@@ -224,6 +238,18 @@ TEST(SerializeTest, KnnMalformedInputRejected) {
         "tevot-knn v1 3 2 1\nmean 0\ninvstd 1\n0.5 1\n");
     EXPECT_THROW(loadKnn(bad), std::runtime_error);
   }
+  {
+    // rows x cols the body does not back: truncation, not a matrix
+    // sized from the header.
+    std::istringstream bad("tevot-knn v1 3 18446744073709551615 1\n"
+                           "mean 0\ninvstd 1\n0.5 1\n");
+    EXPECT_THROW(loadKnn(bad), std::runtime_error);
+  }
+  {
+    std::istringstream bad("tevot-knn v1 3 1 18446744073709551615\n"
+                           "mean 0\ninvstd 1\n0.5 1\n");
+    EXPECT_THROW(loadKnn(bad), std::runtime_error);
+  }
 }
 
 TEST(SerializeTest, LinearMalformedInputRejected) {
@@ -252,6 +278,13 @@ TEST(SerializeTest, LinearMalformedInputRejected) {
     std::istringstream bad(
         "tevot-linear v1 svm 3\nweights 1 2\nbias 0\nmean 0 0 0\n"
         "invstd 1 1 1\n");
+    EXPECT_THROW(loadSvm(bad), std::runtime_error);
+  }
+  {
+    // A column count the weights line does not back.
+    std::istringstream bad(
+        "tevot-linear v1 svm 18446744073709551615\nweights 1 2\n"
+        "bias 0\nmean 0 0\ninvstd 1 1\n");
     EXPECT_THROW(loadSvm(bad), std::runtime_error);
   }
 }

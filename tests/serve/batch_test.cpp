@@ -5,6 +5,7 @@
 // invariant requests == ok + shed + deadline + errors under batching.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -68,6 +69,29 @@ TEST(BatchProtocolTest, ParsesFormattedBatchRoundTrip) {
   EXPECT_EQ(request.deadline_ms, 0.0);
 }
 
+TEST(BatchProtocolTest, GoldenCornersRoundTripBitExactly) {
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const std::vector<BatchOperand> tuple = {{1, 2, 3, 4}};
+  for (const double value : {0.0, -0.0, DBL_TRUE_MIN, 1e-310, 0.87,
+                             1.0 / 3.0, -1.5, DBL_MAX}) {
+    // V and T take every value; tclk and the deadline only positive
+    // ones (formatBatchRequest leaves a zero deadline out).
+    const bool positive = value > 0.0;
+    const double tclk = positive ? value : 300.0;
+    const double deadline = positive ? value : 12.5;
+    const std::string line =
+        formatBatchRequest("int_add", value, value, tclk, tuple, deadline);
+    Request request;
+    ASSERT_TRUE(parseRequest(line, &request).ok()) << line;
+    EXPECT_TRUE(same(request.voltage, value)) << line;
+    EXPECT_TRUE(same(request.temperature, value)) << line;
+    EXPECT_TRUE(same(request.tclk_ps, tclk)) << line;
+    EXPECT_TRUE(same(request.deadline_ms, deadline)) << line;
+  }
+}
+
 TEST(BatchProtocolTest, RejectionMatrix) {
   struct Case {
     const char* line;
@@ -101,6 +125,11 @@ TEST(BatchProtocolTest, RejectionMatrix) {
       {"predictN int_add 0.9 25 0 1 1 2 3 4",
        util::StatusCode::kInvalidArgument},
       {"predictN int_add 0.9 25 300 1 1 2 3 4 -1",
+       util::StatusCode::kInvalidArgument},
+      // The shared number grammar: no '+', no underflow to zero.
+      {"predictN int_add 0.9 25 300 +1 1 2 3 4",
+       util::StatusCode::kInvalidArgument},
+      {"predictN int_add 0.9 1e-400 300 1 1 2 3 4",
        util::StatusCode::kInvalidArgument},
   };
   for (const Case& test_case : cases) {

@@ -5,6 +5,7 @@
 // fixtures.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -197,6 +198,26 @@ TEST(MetricsWireTest, NonMetricsLinesAreRejected) {
   EXPECT_FALSE(parseMetricsLine("OK delay=0x1p+8 err=0", &parsed));
   EXPECT_FALSE(parseMetricsLine("tevot_serve: signal 15, draining",
                                 &parsed));
+  // Counters and reals are whole tokens in range: no junk, no sign.
+  EXPECT_FALSE(parseMetricsLine("requests=5junk ok=5", &parsed));
+  EXPECT_FALSE(parseMetricsLine("requests=5 ok=-1", &parsed));
+  EXPECT_FALSE(parseMetricsLine("requests=5 ok=+1", &parsed));
+  EXPECT_FALSE(parseMetricsLine("requests=5 queue=1x/64", &parsed));
+  EXPECT_FALSE(parseMetricsLine("requests=5 p50_ms=0.5ms", &parsed));
+  EXPECT_FALSE(parseMetricsLine("requests=5 lat_max=nan", &parsed));
+  EXPECT_FALSE(parseMetricsLine("requests=5 lat_hist=3:1junk", &parsed));
+}
+
+TEST(MetricsWireTest, GoldenLatencyBoundsRoundTripBitExactly) {
+  for (const double value : {0.0, -0.0, DBL_TRUE_MIN, 1e-310, 0.87,
+                             1.0 / 3.0, -1.5, DBL_MAX}) {
+    MetricsSnapshot snap;
+    snap.requests = 1;
+    snap.latency = LatencyHistogram::fromBuckets({{3, 1}}, value, value);
+    const MetricsSnapshot parsed = wireRoundTrip(snap);
+    EXPECT_TRUE(histogramsIdentical(parsed.latency, snap.latency))
+        << snap.toLine();
+  }
 }
 
 TEST(MetricsWireTest, CrossProcessMergeIsExact) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstring>
 
 namespace tevot::serve {
@@ -69,6 +70,10 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       "predict int_add 0.9x 25 300 1 2 3 4",        // trailing junk
       "predict int_add 0.9 25 300 1 2 3 4 -1",      // negative deadline
       "predict int_add 0.9 25 300 1 2 3 4 nan",     // NaN deadline
+      "predict int_add +0.9 25 300 1 2 3 4",        // leading '+'
+      "predict int_add 0.9 1e-400 300 1 2 3 4",     // underflows to 0
+      "predict int_add 0.9 25 300 1 2 3 4 +1",      // leading '+'
+      "predict int_add 0.9 25 300 1 2 3 0x-4",      // signed hex operand
   };
   for (const char* line : cases) {
     EXPECT_FALSE(parseRequest(line, &request).ok()) << line;
@@ -94,6 +99,17 @@ TEST(ProtocolTest, OkResponseRoundTripsDelayBitExactly) {
   EXPECT_TRUE(parsed.timing_error);
   EXPECT_EQ(std::memcmp(&parsed.delay_ps, &delay, sizeof(double)), 0)
       << line;
+}
+
+TEST(ProtocolTest, GoldenDelaysRoundTripBitExactly) {
+  for (const double delay : {0.0, -0.0, DBL_TRUE_MIN, 1e-310, 0.87,
+                             1.0 / 3.0, -1.5, DBL_MAX}) {
+    const std::string line = Response::ok(delay, false).serialize();
+    Response parsed;
+    ASSERT_TRUE(parseResponse(line, &parsed)) << line;
+    EXPECT_EQ(std::memcmp(&parsed.delay_ps, &delay, sizeof(double)), 0)
+        << line;
+  }
 }
 
 TEST(ProtocolTest, ResponseTaxonomyRoundTrips) {

@@ -156,6 +156,11 @@ TEST_F(ModelIoTest, GarbageAndWrongMagicRejected) {
       "tevot-model v2 history 1\n",        // wrong version
       "tevot-model v1 hist 1\n",           // wrong key
       "tevot-model v1 history X\n",        // non-numeric flag
+      // Counts the body does not back: typed, never std::length_error.
+      "tevot-model v1 history 1\n"
+      "tevot-forest v1 regressor 18446744073709551615\n",
+      "tevot-model v1 history 1\ntevot-forest v1 regressor 1\n"
+      "tree 18446744073709551615\n-1 0 -1 -1 1\n",
   };
   for (const char* content : cases) {
     writeFile(path, content);

@@ -90,6 +90,32 @@ TEST(CertificateIoTest, GarbageIsParseError) {
   }
 }
 
+TEST(CertificateIoTest, MalformedNumbersAndEscapesAreParseErrors) {
+  const std::string json = sampleCert().toJson();
+  const std::size_t at = json.find("\"tclk_ps\":");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + std::string("\"tclk_ps\":").size();
+  const std::size_t end = json.find(',', value);
+  for (const char* number : {"+2161", "1e-400", "1e400", "2161-"}) {
+    std::string mutated = json;
+    mutated.replace(value, end - value, number);
+    SafeTclkCertificate parsed;
+    EXPECT_EQ(loadCertificate(mutated, &parsed).code,
+              util::StatusCode::kParseError)
+        << number;
+  }
+  const std::size_t path = json.find("models/");
+  ASSERT_NE(path, std::string::npos);
+  for (const char* escape : {"\\u+0ff", "\\u0x1f", "\\u-000", "\\u0100"}) {
+    std::string mutated = json;
+    mutated.insert(path, escape);
+    SafeTclkCertificate parsed;
+    EXPECT_EQ(loadCertificate(mutated, &parsed).code,
+              util::StatusCode::kParseError)
+        << escape;
+  }
+}
+
 TEST(CertificateIoTest, TrailingBytesAreParseError) {
   SafeTclkCertificate parsed;
   const util::Status status =
